@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from datetime import date as Date
 from pathlib import Path
 
 import click
 
-from .estimators import BlockLadder, hurst_dfa, hurst_rs
 from .pipeline import (
     PipelineError,
     RunConfig,
+    analyse_series,
     config_from_mapping,
     emit_synth,
     ingest_csv,
@@ -19,10 +20,8 @@ from .pipeline import (
     parse_input_spec,
     run_pipeline,
 )
-from .rolling import rolling_hurst, split_at
 from .series import describe as describe_values
 from .series import log_returns
-from .stattests import build_report
 from .synth import FgnSpec
 
 
@@ -137,22 +136,21 @@ def describe_cmd(ctx: click.Context, inputs) -> None:
 def hurst_cmd(ctx: click.Context, inputs, estimator, ladder, detrend_order) -> None:
     """Whole-series Hurst estimate for each file."""
     _require_inputs(ctx, inputs)
-    status = 0
     try:
-        lad = BlockLadder(ladder) if ladder else BlockLadder.default()
-    except ValueError as exc:
+        # a whole-series estimate has no rolling window: an unbounded one keeps
+        # the window rule out, and the estimator checks the series length
+        protocol = _build_config(
+            (), None, estimator=estimator, window=sys.maxsize, ladder=ladder,
+            detrend_order=detrend_order,
+        ).protocol()
+    except PipelineError as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(1)
-    est = estimator or "dfa"
-    order = detrend_order if detrend_order is not None else 1
+    status = 0
     for spec in inputs:
         path, label = parse_input_spec(spec)
         try:
-            values = log_returns(ingest_csv(path, label)).values
-            if est == "dfa":
-                h = hurst_dfa(values, lad, order)
-            else:
-                h = hurst_rs(values, lad)
+            h = protocol.estimate(log_returns(ingest_csv(path, label)).values)
         except (ValueError, OSError) as exc:
             click.echo(f"error: {label}: {exc}", err=True)
             status = 2
@@ -216,25 +214,19 @@ def test_cmd(ctx, inputs, estimator, window, step, ladder, detrend_order,
     status = 0
     for path, label in cfg.inputs:
         try:
-            returns = log_returns(ingest_csv(path, label))
-            result = rolling_hurst(returns, cfg.protocol())
-            before, after = split_at(result, cfg.split_date, by=cfg.split_by)
-            if not before or not after:
-                click.echo(f"{label}: split leaves an empty subsample; skipped", err=True)
-                status = 2
-                continue
-            report = build_report(
-                [w.estimate.h for w in before],
-                [w.estimate.h for w in after],
-                label,
-                level=cfg.confidence_level,
-            )
+            analysis = analyse_series(ingest_csv(path, label), cfg)
         except (ValueError, PipelineError, OSError) as exc:
             click.echo(f"error: {label}: {exc}", err=True)
             status = 2
             continue
+        report = analysis.report
+        if report is None:
+            click.echo(f"{label}: {analysis.note}", err=True)
+            status = 2
+            continue
+        n_before, n_after = analysis.counts
         mw, lev = report.mann_whitney, report.levene
-        click.echo(f"{label}: n_before={len(before)} n_after={len(after)}")
+        click.echo(f"{label}: n_before={n_before} n_after={n_after}")
         click.echo(f"  mean before/after: {report.mean_before:.4f} / {report.mean_after:.4f}")
         click.echo(f"  mann-whitney: u1={mw.u1:.1f} u2={mw.u2:.1f} p={mw.p:.4g} ({mw.method})")
         w_str = "undefined" if lev.w is None else f"{lev.w:.4f}"

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
@@ -39,6 +39,8 @@ __all__ = [
     "ingest_csv",
     "emit_synth",
     "run_pipeline",
+    "SeriesAnalysis",
+    "analyse_series",
     "process_series",
     "load_config_file",
     "config_from_mapping",
@@ -88,6 +90,12 @@ class RunConfig:
             tuple((Path(p), str(label)) for p, label in self.inputs),
         )
         object.__setattr__(self, "formats", frozenset(self.formats))
+        # two inputs under one label would write the same output files
+        seen: dict[str, Path] = {}
+        for path, label in self.inputs:
+            if label in seen:
+                raise PipelineError(f"duplicate label {label!r}: {seen[label]} and {path}")
+            seen[label] = path
         if not self.formats <= {"json", "csv"}:
             raise PipelineError(f"unknown formats: {sorted(self.formats - {'json', 'csv'})}")
         if not self.formats:
@@ -148,20 +156,7 @@ def load_config_file(path: Path) -> dict[str, str]:
 def config_from_mapping(mapping: dict[str, str], base: RunConfig | None = None) -> RunConfig:
     """Apply flat string key/values (config file fields) onto a RunConfig."""
     cfg = base or RunConfig()
-    known = {
-        "inputs",
-        "estimator",
-        "window",
-        "step",
-        "ladder",
-        "detrend_order",
-        "split_date",
-        "split_by",
-        "confidence_level",
-        "output_dir",
-        "formats",
-    }
-    unknown = set(mapping) - known
+    unknown = set(mapping) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise PipelineError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
@@ -200,14 +195,15 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     """Read a dated price CSV into a PriceSeries.
 
     The header row must name ``date`` and ``price`` columns; '#' lines are
-    comments. Rows must be ISO-8601 dated, strictly increasing, with positive
-    decimal prices; violations are rejected with the physical row number.
+    comments; a leading UTF-8 byte order mark is ignored. Rows must be
+    ISO-8601 dated, strictly increasing, with positive decimal prices;
+    violations are rejected with the physical row number.
     """
     path = Path(path)
     if label is None:
         label = path.stem
     rows: list[tuple[int, list[str]]] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
@@ -322,44 +318,75 @@ def _rolling_csv(result: RollingResult, n_returns: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stats_payload(
-    label: str,
-    config: RunConfig,
-    returns_stats: DescriptiveStats,
-    hurst_stats: DescriptiveStats,
-    n_windows: int,
-) -> dict:
+@dataclass(frozen=True)
+class SeriesAnalysis:
+    """Every result of one series' analysis; the commands only render it.
+
+    ``report`` is None when a subsample has under two windows; ``note`` says why.
+    """
+
+    n_returns: int
+    returns_stats: DescriptiveStats
+    rolling: RollingResult
+    hurst_stats: DescriptiveStats
+    counts: tuple[int, int]
+    report: TestReport | None
+    note: str | None
+
+
+def analyse_series(prices: PriceSeries, config: RunConfig) -> SeriesAnalysis:
+    """Log returns, rolling Hurst estimates, the split, and the test battery."""
+    returns = log_returns(prices)
+    rets_stats = describe(returns.values)
+    result = rolling_hurst(returns, config.protocol())
+    hurst_stats = describe(result.h_values)
+    before, after = split_at(result, config.split_date, by=config.split_by)
+    counts = (len(before), len(after))
+
+    report = note = None
+    n, side = min(zip(counts, ("before", "after")))
+    if n < 2:  # Levene and the t bounds need two windows on each side
+        held = "empty" if n == 0 else f"with only {n} window"
+        note = f"split at {config.split_date.isoformat()} leaves the "\
+               f"'{side}' subsample {held}; test battery skipped"
+    else:
+        report = build_report(
+            [w.estimate.h for w in before],
+            [w.estimate.h for w in after],
+            prices.id,
+            level=config.confidence_level,
+        )
+    return SeriesAnalysis(len(returns), rets_stats, result, hurst_stats,
+                          counts, report, note)
+
+
+def _stats_payload(label: str, config: RunConfig, analysis: SeriesAnalysis) -> dict:
     return {
         "label": label,
-        "returns": returns_stats.to_dict(),
-        "hurst": hurst_stats.to_dict(),
+        "returns": analysis.returns_stats.to_dict(),
+        "hurst": analysis.hurst_stats.to_dict(),
         "protocol": config.protocol_dict(),
-        "window_count": n_windows,
+        "window_count": len(analysis.rolling.estimates),
         "window_count_rule": WINDOW_COUNT_RULE,
     }
 
 
-def _report_payload(
-    label: str,
-    config: RunConfig,
-    report: TestReport | None,
-    counts: tuple[int, int],
-    note: str | None = None,
-) -> dict:
+def _report_payload(label: str, config: RunConfig, analysis: SeriesAnalysis) -> dict:
+    before, after = analysis.counts
     payload: dict = {
         "label": label,
         "protocol": config.protocol_dict(),
         "split_date": config.split_date.isoformat(),
         "split_by": config.split_by,
-        "counts": {"before": counts[0], "after": counts[1]},
+        "counts": {"before": before, "after": after},
     }
-    if report is not None:
-        body = report.to_dict()
+    if analysis.report is not None:
+        body = analysis.report.to_dict()
         body.pop("label")
         payload["tests"] = body
     else:
         payload["tests"] = None
-        payload["note"] = note
+        payload["note"] = analysis.note
     return payload
 
 
@@ -368,42 +395,20 @@ def _dump_json(payload: dict) -> str:
 
 
 def process_series(prices: PriceSeries, config: RunConfig) -> list[Path]:
-    """Run the full analysis for one ingested series and write its reports."""
+    """Analyse one ingested series and write its reports."""
     out = Path(config.output_dir)
-    returns = log_returns(prices)
-    rets_stats = describe(returns.values)
-    protocol = config.protocol()
-    result = rolling_hurst(returns, protocol)
-    hurst_stats = describe(result.h_values)
-    before, after = split_at(result, config.split_date, by=config.split_by)
-
-    if before and after:
-        report = build_report(
-            [w.estimate.h for w in before],
-            [w.estimate.h for w in after],
-            prices.id,
-            level=config.confidence_level,
-        )
-        note = None
-    else:
-        report = None
-        side = "before" if not before else "after"
-        note = f"split at {config.split_date.isoformat()} leaves the "\
-               f"'{side}' subsample empty; test battery skipped"
-
+    analysis = analyse_series(prices, config)
     written: list[Path] = []
     if "json" in config.formats:
         stats_path = out / f"{prices.id}_stats.json"
-        _atomic_write(stats_path, _dump_json(_stats_payload(
-            prices.id, config, rets_stats, hurst_stats, len(result.estimates))))
+        _atomic_write(stats_path, _dump_json(_stats_payload(prices.id, config, analysis)))
         written.append(stats_path)
         report_path = out / f"{prices.id}_report.json"
-        _atomic_write(report_path, _dump_json(_report_payload(
-            prices.id, config, report, (len(before), len(after)), note)))
+        _atomic_write(report_path, _dump_json(_report_payload(prices.id, config, analysis)))
         written.append(report_path)
     if "csv" in config.formats:
         rolling_path = out / f"{prices.id}_rolling.csv"
-        _atomic_write(rolling_path, _rolling_csv(result, len(returns)))
+        _atomic_write(rolling_path, _rolling_csv(analysis.rolling, analysis.n_returns))
         written.append(rolling_path)
     return written
 

@@ -79,9 +79,7 @@ class RollingResult:
 
 def window_count(n: int, window: int, step: int) -> int:
     """Number of complete windows: floor((n - window) / step) + 1."""
-    if n < window:
-        raise ValueError(f"series of length {n} is shorter than window {window}")
-    return (n - window) // step + 1
+    return len(window_offsets(n, window, step))
 
 
 def window_offsets(n: int, window: int, step: int) -> range:

@@ -15,7 +15,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
 __all__ = [
     "MannWhitneyResult",
@@ -44,6 +43,19 @@ _ALTERNATIVES = ("two-sided", "less", "greater")
 
 def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; each group of tied values gets the mean of its
+    positions in sorted order."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    # positions starts+1 .. ends average to (starts + 1 + ends) / 2
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -113,18 +125,17 @@ def mann_whitney(
     if n1 == 0 or n2 == 0:
         raise ValueError("Mann-Whitney needs non-empty samples")
     pooled = np.concatenate([x, y])
-    ranks = rankdata(pooled)
+    ranks = _midranks(pooled)
     r1 = float(ranks[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0  # pairs won by the first sample, ties half
     u2 = n1 * n2 - u1
 
-    has_ties = np.unique(pooled).size < pooled.size
-    if n1 + n2 <= exact_limit and not has_ties:
+    _, tie_counts = np.unique(pooled, return_counts=True)
+    if n1 + n2 <= exact_limit and tie_counts.size == pooled.size:
         p = _exact_p(n1, n2, u1, alternative)
         return MannWhitneyResult(u1, u2, r1, p, "exact")
 
     n = n1 + n2
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts))
     sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma2 <= 0:

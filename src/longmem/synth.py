@@ -1,10 +1,10 @@
 """Synthetic ground-truth generators for validating the Hurst estimators.
 
 Fractional Gaussian noise comes from circulant embedding of the target
-autocovariance (exact in distribution when the embedding is non-negative
-definite), with a sequential conditional-Gaussian construction as fallback.
-All draws go through numpy's seeded PCG64 generator so batches replay
-exactly; parallel batches should derive seeds as base_seed + index.
+autocovariance (Davies & Harte 1987), exact in distribution because the fGn
+embedding is non-negative definite (Craigmile 2003). All draws go through
+numpy's seeded PCG64 generator so batches replay exactly; parallel batches
+should derive seeds as base_seed + index.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ __all__ = [
     "generate_fgn",
     "generate_gaussian",
     "powerlaw_fixture",
-    "batch_seeds",
 ]
 
 GENERATOR_ID = "numpy.random.Generator(PCG64)"
 
 # Embedding eigenvalues above -EIG_TOL * max(eig) are rounding noise and get
-# clamped to zero; anything more negative rejects the circulant path.
+# clamped to zero; anything more negative is an error.
 EIG_TOL = 1e-9
 
 
@@ -59,7 +58,12 @@ def fgn_autocovariance(h: float, lags: Sequence[int], sigma: float = 1.0) -> np.
     )
 
 
-def _generate_circulant(spec: FgnSpec) -> np.ndarray:
+def generate_fgn(spec: FgnSpec) -> np.ndarray:
+    """Stationary Gaussian sequence with the fGn autocovariance for spec.h.
+
+    Raises ValueError if the circulant embedding has materially negative
+    eigenvalues; for fGn that is not known to happen at any H or n.
+    """
     n = spec.n
     gamma = fgn_autocovariance(spec.h, np.arange(n + 1), spec.sigma)
     # first row of the 2n circulant: gamma(0..n) then mirrored gamma(n-1..1)
@@ -84,53 +88,6 @@ def _generate_circulant(spec: FgnSpec) -> np.ndarray:
     return np.sqrt(2 * n) * np.fft.ifft(np.sqrt(eig) * z).real[:n]
 
 
-def _generate_conditional(spec: FgnSpec) -> np.ndarray:
-    """Sequential conditional-Gaussian sampling via the Durbin-Levinson
-    recursion on the target autocovariance. O(n^2) but embedding-free."""
-    n = spec.n
-    gamma = fgn_autocovariance(spec.h, np.arange(n), spec.sigma)
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.standard_normal(n)
-
-    x = np.empty(n)
-    x[0] = math.sqrt(gamma[0]) * noise[0]
-    phi = np.zeros(n - 1)
-    v = gamma[0]
-    for t in range(1, n):
-        if t == 1:
-            kappa = gamma[1] / gamma[0]
-        else:
-            kappa = (gamma[t] - phi[: t - 1] @ gamma[t - 1 : 0 : -1]) / v
-        prev = phi[: t - 1][::-1].copy()
-        phi[: t - 1] -= kappa * prev
-        phi[t - 1] = kappa
-        v *= 1.0 - kappa * kappa
-        if v <= 0:  # numerically pinned; fGn is purely non-deterministic
-            v = np.finfo(float).tiny
-        mean = phi[:t] @ x[t - 1 :: -1][:t]
-        x[t] = mean + math.sqrt(v) * noise[t]
-    return x
-
-
-def generate_fgn(spec: FgnSpec, method: str = "auto") -> np.ndarray:
-    """Stationary Gaussian sequence with the fGn autocovariance for spec.h.
-
-    ``method``: "circulant" or "conditional" force one construction; "auto"
-    tries the circulant embedding and falls back to the conditional path when
-    the embedding has materially negative eigenvalues.
-    """
-    if method == "circulant":
-        return _generate_circulant(spec)
-    if method == "conditional":
-        return _generate_conditional(spec)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    try:
-        return _generate_circulant(spec)
-    except ValueError:
-        return _generate_conditional(spec)
-
-
 def generate_gaussian(n: int, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     """I.i.d. normal draws, deterministic given the seed."""
     if n < 1:
@@ -144,7 +101,3 @@ def powerlaw_fixture(h: float, sizes: Iterable[int]) -> list[tuple[int, float]]:
     """Exact power-law points (m, m^h) for exercising the log-log regression."""
     return [(int(m), float(m) ** h) for m in sizes]
 
-
-def batch_seeds(base_seed: int, count: int) -> list[int]:
-    """Disjoint seeds for a batch: base_seed + 0, 1, ..., count-1."""
-    return [base_seed + i for i in range(count)]

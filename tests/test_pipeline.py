@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from importlib import resources
 from pathlib import Path
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import longmem
 from longmem.cli import main
 from longmem.pipeline import (
     PipelineError,
@@ -20,6 +24,7 @@ from longmem.pipeline import (
     parse_input_spec,
     run_pipeline,
 )
+from longmem.rolling import window_offsets
 from longmem.series import log_returns
 from longmem.synth import FgnSpec, generate_fgn
 
@@ -37,6 +42,12 @@ def write_prices(path, rows, header="date,price"):
 @pytest.fixture()
 def synth_file(tmp_path):
     return emit_synth(FgnSpec(h=0.6, n=1300, seed=7), tmp_path / "serie.csv")
+
+
+def window_start(path, index):
+    """Start date of the index-th window under the default window 500, step 7."""
+    returns = log_returns(ingest_csv(path))
+    return returns.dates[window_offsets(len(returns), 500, 7)[index]]
 
 
 class TestIngestCsv:
@@ -99,6 +110,12 @@ class TestIngestCsv:
     def test_label_defaults_to_stem(self, tmp_path):
         p = write_prices(tmp_path / "oe_bond.csv", ["2020-01-02,1", "2020-01-03,2"])
         assert ingest_csv(p).id == "oe_bond"
+
+    def test_utf8_bom_copy_ingests_same_series(self, tmp_path):
+        plain = write_prices(tmp_path / "t.csv", ["2020-01-02,100", "2020-01-03,101"])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert ingest_csv(bom, "t") == ingest_csv(plain)
 
 
 class TestEmitSynth:
@@ -273,6 +290,20 @@ class TestRunPipeline:
         assert report["tests"] is None
         assert "empty" in report["note"]
 
+    @pytest.mark.parametrize("index, side", [(1, "before"), (-1, "after")])
+    def test_one_window_side_skips_battery_with_note(
+        self, tmp_path, synth_file, index, side
+    ):
+        split = window_start(synth_file, index)
+        cfg, status = self.run_on(tmp_path, [synth_file], split_date=split)
+        assert status == 0
+        report = json.loads((cfg.output_dir / "serie_report.json").read_text())
+        jsonschema.validate(report, load_schema("report.schema.json"))
+        assert report["tests"] is None
+        assert report["counts"][side] == 1
+        assert f"'{side}' subsample with only 1 window" in report["note"]
+        assert (cfg.output_dir / "serie_rolling.csv").exists()
+
     def test_persistent_fgn_round_trip_recovers_h(self, tmp_path):
         # generator-as-oracle: an H=0.7 noise file pushed through the whole
         # pipeline reports a rolling mean well inside (0.6, 0.8)
@@ -345,6 +376,17 @@ class TestCli:
         assert res.exit_code == 0
         assert "method=rs" in res.output
 
+    def test_hurst_ladder_is_not_held_to_the_rolling_window(self, synth_file):
+        # 512 exceeds half the default 500-point window but not half the series
+        res = self.invoke("hurst", str(synth_file), "--ladder", "8,16,32,64,128,256,512")
+        assert res.exit_code == 0, res.output
+        assert "points=7" in res.output
+
+    def test_hurst_bad_ladder_exit_one(self, synth_file):
+        res = self.invoke("hurst", str(synth_file), "--ladder", "8,4,16")
+        assert res.exit_code == 1
+        assert "strictly increasing" in res.output
+
     def test_rolling_command_writes_csv(self, tmp_path, synth_file):
         out = tmp_path / "r"
         res = self.invoke(
@@ -360,6 +402,57 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert "mann-whitney" in res.output
         assert "inefficient" in res.output
+
+    def test_test_command_matches_run_report(self, tmp_path, synth_file):
+        out = tmp_path / "o"
+        split = ["--split-date", "2001-12-01"]
+        assert self.invoke("run", str(synth_file), "--output-dir", str(out), *split).exit_code == 0
+        res = self.invoke("test", str(synth_file), *split)
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "serie_report.json").read_text())
+        t = report["tests"]
+        mw, lev = t["mann_whitney"], t["levene"]
+        expected = [
+            f"serie: n_before={report['counts']['before']} n_after={report['counts']['after']}",
+            f"  mean before/after: {t['mean']['before']:.4f} / {t['mean']['after']:.4f}",
+            f"  mann-whitney: u1={mw['u1']:.1f} u2={mw['u2']:.1f} p={mw['p']:.4g} ({mw['method']})",
+            f"  levene: w={lev['w']:.4f} p={lev['p']:.4g}",
+        ] + [
+            f"  {key}: mean={b['mean']:.4f} bounds=({b['lower']:.4f}, {b['upper']:.4f}) "
+            f"inefficient={b['inefficient']}"
+            for key, b in t["bounds"].items()
+        ]
+        assert sorted(res.stdout.splitlines()) == sorted(expected)
+
+    def test_test_command_one_window_side_skips_with_note(self, synth_file):
+        split = window_start(synth_file, -1).isoformat()
+        res = self.invoke("test", str(synth_file), "--split-date", split)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "'after' subsample with only 1 window" in res.stderr
+        assert "t bounds" not in res.stderr
+
+    def test_duplicate_labels_exit_one_before_any_work(self, tmp_path, synth_file):
+        twins = []
+        for d in ("d1", "d2"):
+            (tmp_path / d).mkdir()
+            twins.append(tmp_path / d / "x.csv")
+            twins[-1].write_bytes(synth_file.read_bytes())
+        out = tmp_path / "o"
+        res = self.invoke("run", *map(str, twins), "--output-dir", str(out))
+        assert res.exit_code == 1
+        assert "duplicate label 'x'" in res.stderr
+        assert str(twins[0]) in res.stderr and str(twins[1]) in res.stderr
+        assert not out.exists()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = str(Path(longmem.__file__).resolve().parents[1])
+        code = "import sys, longmem.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_synth_command(self, tmp_path):
         out = tmp_path / "gen.csv"

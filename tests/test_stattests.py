@@ -10,6 +10,7 @@ from scipy import stats as scipy_stats
 
 from longmem.stattests import (
     RANDOM_WALK_H,
+    _midranks,
     bounds_from_moments,
     build_report,
     f_sf,
@@ -59,6 +60,19 @@ def f_sf_mp(w, d1, d2):
 
 
 # ---------------------------------------------------------------- mann-whitney
+
+class TestMidranks:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy_rankdata_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            x = rng.integers(0, rng.integers(1, 12), size=rng.integers(1, 40)).astype(float)
+            assert np.array_equal(_midranks(x), scipy_stats.rankdata(x))
+
+    def test_matches_scipy_rankdata_without_ties(self):
+        x = np.random.default_rng(7).standard_normal(500)
+        assert np.array_equal(_midranks(x), scipy_stats.rankdata(x))
+
 
 class TestMannWhitney:
     def test_identical_samples(self):

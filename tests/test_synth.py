@@ -1,16 +1,47 @@
+import math
+
 import numpy as np
 import pytest
 
+from longmem import synth
 from longmem.estimators import BlockLadder, hurst_dfa
 from longmem.stattests import mann_whitney
 from longmem.synth import (
     FgnSpec,
-    batch_seeds,
     fgn_autocovariance,
     generate_fgn,
     generate_gaussian,
     powerlaw_fixture,
 )
+
+
+def conditional_fgn(spec):
+    """Distribution oracle for generate_fgn: sequential conditional-Gaussian
+    sampling via the Durbin-Levinson recursion on the target autocovariance.
+    O(n^2) but embedding-free."""
+    n = spec.n
+    gamma = fgn_autocovariance(spec.h, np.arange(n), spec.sigma)
+    rng = np.random.default_rng(spec.seed)
+    noise = rng.standard_normal(n)
+
+    x = np.empty(n)
+    x[0] = math.sqrt(gamma[0]) * noise[0]
+    phi = np.zeros(n - 1)
+    v = gamma[0]
+    for t in range(1, n):
+        if t == 1:
+            kappa = gamma[1] / gamma[0]
+        else:
+            kappa = (gamma[t] - phi[: t - 1] @ gamma[t - 1 : 0 : -1]) / v
+        prev = phi[: t - 1][::-1].copy()
+        phi[: t - 1] -= kappa * prev
+        phi[t - 1] = kappa
+        v *= 1.0 - kappa * kappa
+        if v <= 0:  # numerically pinned; fGn is purely non-deterministic
+            v = np.finfo(float).tiny
+        mean = phi[:t] @ x[t - 1 :: -1][:t]
+        x[t] = mean + math.sqrt(v) * noise[t]
+    return x
 
 
 def sample_autocov(x, k):
@@ -64,7 +95,7 @@ class TestGenerateFgn:
     def test_autocovariance_profile_within_three_se(self, h):
         # mean sample autocovariance across independent seeds vs the target,
         # tolerance from the across-seed standard error
-        seeds = batch_seeds(100, 12)
+        seeds = range(100, 112)
         lags = range(6)
         estimates = np.array(
             [[sample_autocov(generate_fgn(FgnSpec(h=h, n=100_000, seed=s)), k)
@@ -80,13 +111,11 @@ class TestGenerateFgn:
         assert sample_autocov(x, 0) == pytest.approx(4.0, rel=0.05)
 
     def test_conditional_path_matches_target_covariance(self):
-        seeds = batch_seeds(0, 10)
+        seeds = range(10)
         estimates = np.array(
             [
                 [
-                    sample_autocov(
-                        generate_fgn(FgnSpec(h=0.7, n=4096, seed=s), method="conditional"), k
-                    )
+                    sample_autocov(conditional_fgn(FgnSpec(h=0.7, n=4096, seed=s)), k)
                     for k in range(4)
                 ]
                 for s in seeds
@@ -100,17 +129,24 @@ class TestGenerateFgn:
     def test_paths_agree_in_dfa_distribution(self):
         ladder = BlockLadder((4, 8, 16, 32, 64, 128))
         h_circ, h_cond = [], []
-        for s in batch_seeds(1000, 50):
+        for s in range(1000, 1050):
             spec_c = FgnSpec(h=0.6, n=1024, seed=s)
             spec_h = FgnSpec(h=0.6, n=1024, seed=s + 50)
-            h_circ.append(hurst_dfa(generate_fgn(spec_c, method="circulant"), ladder).h)
-            h_cond.append(hurst_dfa(generate_fgn(spec_h, method="conditional"), ladder).h)
+            h_circ.append(hurst_dfa(generate_fgn(spec_c), ladder).h)
+            h_cond.append(hurst_dfa(conditional_fgn(spec_h), ladder).h)
         res = mann_whitney(h_circ, h_cond)
         assert res.p > 0.01
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            generate_fgn(FgnSpec(h=0.5, n=16), method="hosking-typo")
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10_000])
+    def test_embedding_accepted_across_h(self, n):
+        # no fallback exists, so every H must embed
+        for h in np.arange(1, 100) / 100:
+            assert generate_fgn(FgnSpec(h=float(h), n=n)).shape == (n,)
+
+    def test_rejected_embedding_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "EIG_TOL", -1.0)
+        with pytest.raises(ValueError, match="not non-negative definite"):
+            generate_fgn(FgnSpec(h=0.7, n=16))
 
 
 class TestGenerateGaussian:
@@ -144,8 +180,3 @@ class TestPowerlawFixture:
     def test_accepts_ladder(self):
         lad = BlockLadder((4, 8, 16))
         assert powerlaw_fixture(0.5, lad) == [(4, 2.0), (8, 8.0**0.5), (16, 4.0)]
-
-
-class TestBatchSeeds:
-    def test_disjoint_and_ordered(self):
-        assert batch_seeds(10, 4) == [10, 11, 12, 13]
