@@ -16,7 +16,6 @@ from .pipeline import RunConfig, emit_synth, ingest_csv, run_pipeline
 from .rolling import (
     RollingProtocol,
     RollingResult,
-    WindowEstimate,
     rolling_hurst,
     split_at,
     window_count,
@@ -57,7 +56,6 @@ __all__ = [
     "run_pipeline",
     "RollingProtocol",
     "RollingResult",
-    "WindowEstimate",
     "rolling_hurst",
     "split_at",
     "window_count",

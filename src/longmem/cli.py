@@ -118,7 +118,7 @@ def describe_cmd(ctx: click.Context, inputs) -> None:
         try:
             stats = describe_values(log_returns(ingest_csv(path, label)).values)
         except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {label}: {exc}", err=True)
             status = 2
             continue
         click.echo(f"{label}:")

@@ -202,56 +202,55 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     path = Path(path)
     if label is None:
         label = path.stem
-    rows: list[tuple[int, list[str]]] = []
+    width = 0  # cells a data row needs; 0 until the header is read
+    dates: list[Date] = []
+    prices: list[float] = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            rows.append((lineno, next(csv.reader([raw]))))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    header_line, header = rows[0]
-    columns = [c.strip().lower() for c in header]
-    if "date" not in columns or "price" not in columns:
-        raise ValueError(
-            f"{path}: row {header_line}: header must name 'date' and 'price' columns"
-        )
-    date_idx, price_idx = columns.index("date"), columns.index("price")
-
-    dates: list[Date] = []
-    prices: list[float] = []
-    for lineno, cells in rows[1:]:
-        if len(cells) <= max(date_idx, price_idx):
-            raise ValueError(f"{path}: row {lineno}: expected at least "
-                             f"{max(date_idx, price_idx) + 1} columns")
-        try:
-            d = Date.fromisoformat(cells[date_idx].strip())
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}: row {lineno}: unparsable date {cells[date_idx]!r}"
-            ) from exc
-        raw_price = cells[price_idx].strip()
-        if raw_price == "":
-            raise ValueError(f"{path}: row {lineno}: blank price")
-        try:
-            p = float(raw_price)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}: row {lineno}: unparsable price {raw_price!r}"
-            ) from exc
-        if not np.isfinite(p) or p <= 0:
-            raise ValueError(f"{path}: row {lineno}: non-positive price {raw_price}")
-        if dates:
-            if d == dates[-1]:
-                raise ValueError(f"{path}: row {lineno}: duplicate date {d.isoformat()}")
-            if d < dates[-1]:
+            cells = next(csv.reader([raw]))
+            if not width:
+                columns = [c.strip().lower() for c in cells]
+                if "date" not in columns or "price" not in columns:
+                    raise ValueError(
+                        f"{path}: row {lineno}: header must name 'date' and 'price' columns"
+                    )
+                date_idx, price_idx = columns.index("date"), columns.index("price")
+                width = max(date_idx, price_idx) + 1
+                continue
+            if len(cells) < width:
+                raise ValueError(f"{path}: row {lineno}: expected at least {width} columns")
+            try:
+                d = Date.fromisoformat(cells[date_idx].strip())
+            except ValueError as exc:
                 raise ValueError(
-                    f"{path}: row {lineno}: dates not increasing ({d.isoformat()} "
-                    f"after {dates[-1].isoformat()})"
-                )
-        dates.append(d)
-        prices.append(p)
+                    f"{path}: row {lineno}: unparsable date {cells[date_idx]!r}"
+                ) from exc
+            raw_price = cells[price_idx].strip()
+            if raw_price == "":
+                raise ValueError(f"{path}: row {lineno}: blank price")
+            try:
+                p = float(raw_price)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: row {lineno}: unparsable price {raw_price!r}"
+                ) from exc
+            if not np.isfinite(p) or p <= 0:
+                raise ValueError(f"{path}: row {lineno}: non-positive price {raw_price}")
+            if dates:
+                if d == dates[-1]:
+                    raise ValueError(f"{path}: row {lineno}: duplicate date {d.isoformat()}")
+                if d < dates[-1]:
+                    raise ValueError(
+                        f"{path}: row {lineno}: dates not increasing ({d.isoformat()} "
+                        f"after {dates[-1].isoformat()})"
+                    )
+            dates.append(d)
+            prices.append(p)
+    if not width:
+        raise ValueError(f"{path}: no data rows")
     return PriceSeries(label, tuple(dates), tuple(prices))
 
 
@@ -305,16 +304,14 @@ def _rolling_csv(result: RollingResult, n_returns: int) -> str:
         f"# step: {proto.step}",
         f"# ladder: {','.join(str(s) for s in proto.ladder.sizes)}",
         f"# returns: {n_returns}",
-        f"# windows: {len(result.estimates)}",
+        f"# windows: {result.h.size}",
         f"# window_count_rule: {WINDOW_COUNT_RULE}",
         f"# note: {COUNT_NOTE}",
         "window_start_date,window_end_date,h,r_squared",
     ]
-    for w in result.estimates:
-        lines.append(
-            f"{w.start_date.isoformat()},{w.end_date.isoformat()},"
-            f"{w.estimate.h:.10f},{w.estimate.r_squared:.10f}"
-        )
+    for start, end, h, r2 in zip(result.start_dates, result.end_dates,
+                                 result.h, result.r_squared):
+        lines.append(f"{start.isoformat()},{end.isoformat()},{h:.10f},{r2:.10f}")
     return "\n".join(lines) + "\n"
 
 
@@ -338,10 +335,17 @@ def analyse_series(prices: PriceSeries, config: RunConfig) -> SeriesAnalysis:
     """Log returns, rolling Hurst estimates, the split, and the test battery."""
     returns = log_returns(prices)
     rets_stats = describe(returns.values)
-    result = rolling_hurst(returns, config.protocol())
-    hurst_stats = describe(result.h_values)
+    proto = config.protocol()
+    result = rolling_hurst(returns, proto)
+    if result.h.size < 4:  # describe needs 4 observations
+        raise ValueError(
+            f"{result.h.size} rolling windows, fewer than the 4 needed: window "
+            f"{proto.window} at step {proto.step} needs at least "
+            f"{proto.window + 3 * proto.step} returns, the series has {len(returns)}"
+        )
+    hurst_stats = describe(result.h)
     before, after = split_at(result, config.split_date, by=config.split_by)
-    counts = (len(before), len(after))
+    counts = (before.size, after.size)
 
     report = note = None
     n, side = min(zip(counts, ("before", "after")))
@@ -350,12 +354,7 @@ def analyse_series(prices: PriceSeries, config: RunConfig) -> SeriesAnalysis:
         note = f"split at {config.split_date.isoformat()} leaves the "\
                f"'{side}' subsample {held}; test battery skipped"
     else:
-        report = build_report(
-            [w.estimate.h for w in before],
-            [w.estimate.h for w in after],
-            prices.id,
-            level=config.confidence_level,
-        )
+        report = build_report(before, after, prices.id, level=config.confidence_level)
     return SeriesAnalysis(len(returns), rets_stats, result, hurst_stats,
                           counts, report, note)
 
@@ -366,7 +365,7 @@ def _stats_payload(label: str, config: RunConfig, analysis: SeriesAnalysis) -> d
         "returns": analysis.returns_stats.to_dict(),
         "hurst": analysis.hurst_stats.to_dict(),
         "protocol": config.protocol_dict(),
-        "window_count": len(analysis.rolling.estimates),
+        "window_count": analysis.rolling.h.size,
         "window_count_rule": WINDOW_COUNT_RULE,
     }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date as Date
 
@@ -19,7 +20,6 @@ from .series import ReturnSeries
 
 __all__ = [
     "RollingProtocol",
-    "WindowEstimate",
     "RollingResult",
     "window_count",
     "window_offsets",
@@ -59,22 +59,22 @@ class RollingProtocol:
         return hurst_rs(values, self.ladder)
 
 
-@dataclass(frozen=True)
-class WindowEstimate:
-    start_date: Date
-    end_date: Date
-    estimate: HurstEstimate
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RollingResult:
+    """Per-window columns: first and last return dates, h and the fit's r².
+
+    Construction marks the ``h`` and ``r_squared`` arrays read-only.
+    """
+
     id: str
     protocol: RollingProtocol
-    estimates: tuple[WindowEstimate, ...]
+    start_dates: tuple[Date, ...]
+    end_dates: tuple[Date, ...]
+    h: np.ndarray
+    r_squared: np.ndarray
 
-    @property
-    def h_values(self) -> np.ndarray:
-        return np.array([w.estimate.h for w in self.estimates])
+    def __post_init__(self) -> None:
+        self.h.flags.writeable = self.r_squared.flags.writeable = False
 
 
 def window_count(n: int, window: int, step: int) -> int:
@@ -91,24 +91,21 @@ def window_offsets(n: int, window: int, step: int) -> range:
 
 def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingResult:
     """One Hurst estimate per window, dated by the window's first and last return."""
-    values = returns.values
-    estimates = []
-    for off in window_offsets(values.size, protocol.window, protocol.step):
+    values, dates, last = returns.values, returns.dates, protocol.window - 1
+    offsets = window_offsets(values.size, protocol.window, protocol.step)
+    h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
+    for i, off in enumerate(offsets):
         est = protocol.estimate(values[off : off + protocol.window])
-        estimates.append(
-            WindowEstimate(
-                returns.dates[off],
-                returns.dates[off + protocol.window - 1],
-                est,
-            )
-        )
-    return RollingResult(returns.id, protocol, tuple(estimates))
+        h[i], r_squared[i] = est.h, est.r_squared
+    starts = tuple(dates[off] for off in offsets)
+    ends = tuple(dates[off + last] for off in offsets)
+    return RollingResult(returns.id, protocol, starts, ends, h, r_squared)
 
 
 def split_at(
     result: RollingResult, split_date: Date, by: str = "start"
-) -> tuple[list[WindowEstimate], list[WindowEstimate]]:
-    """Partition estimates around a date: window date < split_date goes before.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hurst exponents of the windows dated before ``split_date``, then the rest.
 
     ``by`` selects which window date classifies the estimate: "start" (a
     window belongs to the before group if it begins before the split, even
@@ -116,10 +113,7 @@ def split_at(
     """
     if by not in ("start", "end"):
         raise ValueError("split classification must be 'start' or 'end'")
-    if not result.estimates:
+    if not result.h.size:
         raise ValueError("cannot split an empty rolling result")
-    before, after = [], []
-    for w in result.estimates:
-        key = w.start_date if by == "start" else w.end_date
-        (before if key < split_date else after).append(w)
-    return before, after
+    k = bisect_left(result.start_dates if by == "start" else result.end_dates, split_date)
+    return result.h[:k], result.h[k:]

@@ -8,7 +8,7 @@ kurtosis, so a normal sample has kurtosis near 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date as Date
 from typing import Iterable, Sequence
 
@@ -141,17 +141,7 @@ class DescriptiveStats:
                 raise ValueError("jarque_bera inconsistent with stored moments")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "median": self.median,
-            "min": self.min,
-            "max": self.max,
-            "std_dev": self.std_dev,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "jarque_bera": self.jarque_bera,
-        }
+        return asdict(self)
 
 
 def describe(values) -> DescriptiveStats:

@@ -10,7 +10,7 @@ never tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -250,15 +250,7 @@ class SubsampleBounds:
     inefficient: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "sd": self.sd,
-            "std_error": self.std_error,
-            "lower": self.lower,
-            "upper": self.upper,
-            "inefficient": self.inefficient,
-        }
+        return asdict(self)
 
 
 def bounds_from_moments(
@@ -299,13 +291,7 @@ class TestReport:
             "confidence_level": self.confidence_level,
             "mean": {"before": self.mean_before, "after": self.mean_after},
             "std_dev": {"before": self.sd_before, "after": self.sd_after},
-            "mann_whitney": {
-                "u1": self.mann_whitney.u1,
-                "u2": self.mann_whitney.u2,
-                "rank_sum": self.mann_whitney.rank_sum,
-                "p": self.mann_whitney.p,
-                "method": self.mann_whitney.method,
-            },
+            "mann_whitney": asdict(self.mann_whitney),
             "levene": {
                 "w": None if self.levene.w is None or math.isinf(self.levene.w)
                 else self.levene.w,

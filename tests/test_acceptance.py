@@ -177,7 +177,7 @@ def test_criterion_6_rolling_count_law():
         rets = ReturnSeries("prop", dates, tuple(float(v) for v in values))
         proto = RollingProtocol(window=window, step=step, estimator="rs", ladder=ladder)
         result = rolling_hurst(rets, proto)
-        assert len(result.estimates) == (n - window) // step + 1
+        assert result.h.size == (n - window) // step + 1
         checked += 1
     # the reference shape: 4203 returns, window 500, step 7
     shape_count = len(list(window_offsets(4203, 500, 7)))
@@ -259,9 +259,7 @@ def test_criterion_9_regime_change_classification():
     returns = log_returns(prices)
     result = rolling_hurst(returns, RollingProtocol())  # defaults: 500/7/dfa-1
     splice_date = returns.dates[5000]  # first return drawn from the second half
-    before, after = split_at(result, splice_date)
-    h_before = np.array([w.estimate.h for w in before])
-    h_after = np.array([w.estimate.h for w in after])
+    h_before, h_after = split_at(result, splice_date)
     mw = mann_whitney(h_before, h_after)
     elapsed = time.perf_counter() - start
     ok = (

@@ -265,6 +265,18 @@ class TestRunPipeline:
         assert (cfg.output_dir / "serie_stats.json").exists()
         assert not (cfg.output_dir / "bad_stats.json").exists()
 
+    def test_fewer_than_four_windows_names_count_and_length(self, tmp_path):
+        # 520 returns at window 500, step 7 give 3 windows; 4 need 521 returns
+        short = emit_synth(FgnSpec(h=0.5, n=520, seed=3), tmp_path / "short.csv")
+        cfg = RunConfig(inputs=((short, "short"),), output_dir=tmp_path / "out")
+        log = io.StringIO()
+        assert run_pipeline(cfg, log=log) == 2
+        assert log.getvalue() == (
+            "error: short: 3 rolling windows, fewer than the 4 needed: window 500 "
+            "at step 7 needs at least 521 returns, the series has 520\n"
+        )
+        assert list(cfg.output_dir.iterdir()) == []
+
     def test_unwritable_output_dir_aborts(self, tmp_path, synth_file):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")
@@ -370,6 +382,15 @@ class TestCli:
         res = self.invoke("describe", str(synth_file))
         assert res.exit_code == 0
         assert "std_dev" in res.output
+
+    def test_describe_errors_name_each_series(self, tmp_path):
+        tiny = write_prices(
+            tmp_path / "tiny.csv", ["2020-01-02,100", "2020-01-03,101", "2020-01-06,99"]
+        )
+        res = self.invoke("describe", f"{tiny}:a", f"{tiny}:b")
+        assert res.exit_code == 2
+        assert "error: a: need at least 4 observations to describe, got 2" in res.stderr
+        assert "error: b: need at least 4 observations to describe, got 2" in res.stderr
 
     def test_hurst_command(self, synth_file):
         res = self.invoke("hurst", str(synth_file), "--estimator", "rs")

@@ -1,5 +1,6 @@
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,17 +86,17 @@ class TestRollingHurst:
     def test_counts_and_dates(self):
         rets = make_returns(generate_gaussian(100, seed=1))
         result = rolling_hurst(rets, small_protocol(window=40, step=10))
-        assert len(result.estimates) == (100 - 40) // 10 + 1
-        first = result.estimates[0]
-        assert first.start_date == rets.dates[0]
-        assert first.end_date == rets.dates[39]
-        second = result.estimates[1]
-        assert second.start_date == rets.dates[10]
+        count = (100 - 40) // 10 + 1
+        assert result.h.size == result.r_squared.size == count
+        assert len(result.start_dates) == len(result.end_dates) == count
+        assert result.start_dates[0] == rets.dates[0]
+        assert result.end_dates[0] == rets.dates[39]
+        assert result.start_dates[1] == rets.dates[10]
 
     def test_single_window_boundary(self):
         rets = make_returns(generate_gaussian(40, seed=2))
         result = rolling_hurst(rets, small_protocol(window=40, step=7))
-        assert len(result.estimates) == 1
+        assert result.h.size == 1
 
     def test_too_short_rejected(self):
         rets = make_returns(generate_gaussian(39, seed=3))
@@ -108,49 +109,71 @@ class TestRollingHurst:
         for estimator, standalone in (("rs", hurst_rs), ("dfa", hurst_dfa)):
             proto = small_protocol(window=64, step=13, estimator=estimator)
             result = rolling_hurst(rets, proto)
-            for i, w in enumerate(result.estimates):
+            assert result.h.size == (200 - 64) // 13 + 1
+            for i in range(result.h.size):
                 sl = values[i * 13 : i * 13 + 64]
                 if estimator == "rs":
                     fresh = standalone(sl, SMALL_LADDER)
                 else:
                     fresh = standalone(sl, SMALL_LADDER, proto.detrend_order)
-                assert w.estimate == fresh  # exact, no incremental drift
+                assert fresh == proto.estimate(sl)
+                # exact, no incremental drift
+                assert result.h[i] == fresh.h
+                assert result.r_squared[i] == fresh.r_squared
 
     def test_determinism(self):
         rets = make_returns(generate_gaussian(150, seed=5))
         proto = small_protocol()
-        assert rolling_hurst(rets, proto) == rolling_hurst(rets, proto)
+        a, b = rolling_hurst(rets, proto), rolling_hurst(rets, proto)
+        assert (a.start_dates, a.end_dates) == (b.start_dates, b.end_dates)
+        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a.r_squared, b.r_squared)
+
+    def test_columns_are_read_only(self):
+        result = rolling_hurst(make_returns(generate_gaussian(100, seed=7)), small_protocol())
+        before, _ = split_at(result, date(2100, 1, 1))
+        for column in (result.h, result.r_squared, before):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
 
 
 class TestSplitAt:
-    @pytest.fixture()
+    @pytest.fixture(scope="class")
     def result(self):
         rets = make_returns(generate_gaussian(120, seed=6))
         return rolling_hurst(rets, small_protocol(window=40, step=8))
 
     def test_split_before_everything(self, result):
         before, after = split_at(result, date(1990, 1, 1))
-        assert before == [] and len(after) == len(result.estimates)
+        assert before.size == 0 and np.array_equal(after, result.h)
 
     def test_split_after_everything(self, result):
         before, after = split_at(result, date(2100, 1, 1))
-        assert after == [] and len(before) == len(result.estimates)
+        assert after.size == 0 and np.array_equal(before, result.h)
 
     def test_partition_preserves_order_and_count(self, result):
-        all_dates = [w.start_date for w in result.estimates]
-        for split in [d + timedelta(days=3) for d in all_dates]:
-            before, after = split_at(result, split)
-            assert len(before) + len(after) == len(result.estimates)
-            assert [w.start_date for w in before + after] == all_dates
-            assert all(w.start_date < split for w in before)
-            assert all(w.start_date >= split for w in after)
+        for i, start in enumerate(result.start_dates):
+            before, after = split_at(result, start + timedelta(days=3))
+            assert before.size == i + 1
+            assert np.array_equal(np.concatenate([before, after]), result.h)
 
     def test_classification_by_end_date(self, result):
-        split = result.estimates[0].end_date
+        split = result.end_dates[0]
         before_start, _ = split_at(result, split, by="start")
         before_end, _ = split_at(result, split, by="end")
         # windows starting before the split but ending on/after it move sides
-        assert len(before_end) < len(before_start)
+        assert before_end.size < before_start.size
+
+    @given(
+        split=st.dates(min_value=date(1999, 12, 1), max_value=date(2000, 6, 1)),
+        by=st.sampled_from(["start", "end"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_filter(self, result, split, by):
+        keys = result.start_dates if by == "start" else result.end_dates
+        before, after = split_at(result, split, by=by)
+        assert np.array_equal(before, [h for k, h in zip(keys, result.h) if k < split])
+        assert np.array_equal(after, [h for k, h in zip(keys, result.h) if k >= split])
 
     def test_bad_classifier(self, result):
         with pytest.raises(ValueError, match="'start' or 'end'"):
