@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
-from datetime import date as Date
 from pathlib import Path
 
 import click
@@ -15,74 +14,47 @@ from .pipeline import (
     analyse_series,
     config_from_mapping,
     emit_synth,
-    ingest_csv,
     load_config_file,
     parse_input_spec,
+    run_each,
     run_pipeline,
 )
 from .series import describe as describe_values
 from .series import log_returns
 from .synth import FgnSpec
 
-
-def _parse_ladder(_ctx, _param, value: str | None):
-    if value is None:
-        return None
-    try:
-        return tuple(int(s) for s in value.split(","))
-    except ValueError:
-        raise click.BadParameter(f"ladder must be comma-separated integers, got {value!r}")
-
-
-def _parse_date(_ctx, _param, value: str | None):
-    if value is None:
-        return None
-    try:
-        return Date.fromisoformat(value)
-    except ValueError:
-        raise click.BadParameter(f"expected ISO-8601 date, got {value!r}")
-
-
+# Setting values stay strings here; config_from_mapping reads them.
 _estimator_opt = click.option(
-    "--estimator", type=click.Choice(["dfa", "rs"]), default=None,
-    help="Hurst estimator [default: dfa].")
+    "--estimator", metavar="dfa|rs", help="Hurst estimator, case-insensitive [default: dfa].")
 _window_opt = click.option(
-    "--window", type=int, default=None,
-    help="Sliding window length in datapoints [default: 500].")
+    "--window", metavar="INT", help="Sliding window length in datapoints [default: 500].")
 _step_opt = click.option(
-    "--step", type=int, default=None, help="Window advance in datapoints [default: 7].")
+    "--step", metavar="INT", help="Window advance in datapoints [default: 7].")
 _ladder_opt = click.option(
-    "--ladder", callback=_parse_ladder, default=None,
+    "--ladder", metavar="INTS",
     help="Comma-separated block sizes [default: 4,8,16,32,64,128].")
 _order_opt = click.option(
-    "--detrend-order", type=int, default=None, help="DFA polynomial order [default: 1].")
+    "--detrend-order", metavar="INT", help="DFA polynomial order [default: 1].")
 _split_opt = click.option(
-    "--split-date", callback=_parse_date, default=None,
+    "--split-date", metavar="DATE",
     help="ISO date splitting the subsamples [default: 2008-09-15].")
 _split_by_opt = click.option(
-    "--split-by", type=click.Choice(["start", "end"]), default=None,
+    "--split-by", metavar="start|end",
     help="Classify windows by start or end date [default: start].")
 _level_opt = click.option(
-    "--confidence-level", type=float, default=None,
-    help="One-sided t confidence level for the bounds [default: 0.999].")
+    "--confidence-level", metavar="FLOAT",
+    help="One-sided t confidence level, in (0.5, 1), for the bounds [default: 0.999].")
 _outdir_opt = click.option(
-    "--output-dir", type=click.Path(path_type=Path), default=None,
-    help="Directory for report files [default: .].")
+    "--output-dir", metavar="PATH", help="Directory for report files [default: .].")
 _formats_opt = click.option(
-    "--formats", default=None,
-    help="Comma-separated subset of json,csv [default: json,csv].")
+    "--formats", metavar="LIST", help="Comma-separated subset of json,csv [default: json,csv].")
 
 
-def _build_config(inputs, config_file, **overrides) -> RunConfig:
-    cfg = RunConfig()
-    if config_file is not None:
-        cfg = config_from_mapping(load_config_file(config_file), cfg)
-    direct = {k: v for k, v in overrides.items() if v is not None}
-    if "formats" in direct and isinstance(direct["formats"], str):
-        direct["formats"] = frozenset(
-            s.strip() for s in direct["formats"].split(",") if s.strip())
-    if direct:
-        cfg = replace(cfg, **direct)
+def _build_config(inputs, config_file=None, **flags) -> RunConfig:
+    """The config file's settings, overridden by the flags given, and the inputs."""
+    settings = load_config_file(config_file) if config_file is not None else {}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = config_from_mapping(settings)
     if inputs:
         cfg = replace(cfg, inputs=tuple(parse_input_spec(s) for s in inputs))
     return cfg
@@ -95,7 +67,18 @@ def _require_inputs(ctx: click.Context, inputs) -> None:
         ctx.exit(1)
 
 
-@click.group()
+class _Main(click.Group):
+    """Every command reports an unusable configuration as ``error:`` and exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except PipelineError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="longmem")
 def main() -> None:
     """Long-memory analysis of financial return series.
@@ -112,19 +95,14 @@ def main() -> None:
 def describe_cmd(ctx: click.Context, inputs) -> None:
     """Descriptive statistics of each file's log returns."""
     _require_inputs(ctx, inputs)
-    status = 0
-    for spec in inputs:
-        path, label = parse_input_spec(spec)
-        try:
-            stats = describe_values(log_returns(ingest_csv(path, label)).values)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {label}: {exc}", err=True)
-            status = 2
-            continue
-        click.echo(f"{label}:")
+
+    def show(prices) -> None:
+        stats = describe_values(log_returns(prices).values)
+        click.echo(f"{prices.id}:")
         for key, value in stats.to_dict().items():
             click.echo(f"  {key}: {value}")
-    ctx.exit(status)
+
+    ctx.exit(run_each(_build_config(inputs).inputs, show))
 
 
 @main.command("hurst")
@@ -136,30 +114,20 @@ def describe_cmd(ctx: click.Context, inputs) -> None:
 def hurst_cmd(ctx: click.Context, inputs, estimator, ladder, detrend_order) -> None:
     """Whole-series Hurst estimate for each file."""
     _require_inputs(ctx, inputs)
-    try:
-        # a whole-series estimate has no rolling window: an unbounded one keeps
-        # the window rule out, and the estimator checks the series length
-        protocol = _build_config(
-            (), None, estimator=estimator, window=sys.maxsize, ladder=ladder,
-            detrend_order=detrend_order,
-        ).protocol()
-    except PipelineError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(1)
-    status = 0
-    for spec in inputs:
-        path, label = parse_input_spec(spec)
-        try:
-            h = protocol.estimate(log_returns(ingest_csv(path, label)).values)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {label}: {exc}", err=True)
-            status = 2
-            continue
+    # a whole-series estimate has no rolling window: an unbounded one keeps
+    # the window rule out, and the estimator checks the series length
+    cfg = _build_config(inputs, estimator=estimator, window=str(sys.maxsize),
+                        ladder=ladder, detrend_order=detrend_order)
+    protocol = cfg.protocol()
+
+    def show(prices) -> None:
+        h = protocol.estimate(log_returns(prices).values)
         click.echo(
-            f"{label}: h={h.h:.6f} r_squared={h.r_squared:.6f} "
+            f"{prices.id}: h={h.h:.6f} r_squared={h.r_squared:.6f} "
             f"method={h.method} points={len(h.points)}"
         )
-    ctx.exit(status)
+
+    ctx.exit(run_each(cfg.inputs, show))
 
 
 @main.command("rolling")
@@ -174,16 +142,10 @@ def hurst_cmd(ctx: click.Context, inputs, estimator, ladder, detrend_order) -> N
 def rolling_cmd(ctx, inputs, estimator, window, step, ladder, detrend_order, output_dir):
     """Rolling-window Hurst estimates, written to <label>_rolling.csv."""
     _require_inputs(ctx, inputs)
-    try:
-        cfg = _build_config(
-            inputs, None, estimator=estimator, window=window, step=step,
-            ladder=ladder, detrend_order=detrend_order, output_dir=output_dir,
-            formats="csv",
-        )
-        ctx.exit(run_pipeline(cfg))
-    except PipelineError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(1)
+    ctx.exit(run_pipeline(_build_config(
+        inputs, estimator=estimator, window=window, step=step, ladder=ladder,
+        detrend_order=detrend_order, output_dir=output_dir, formats="csv",
+    )))
 
 
 @main.command("test")
@@ -201,32 +163,20 @@ def test_cmd(ctx, inputs, estimator, window, step, ladder, detrend_order,
              split_date, split_by, confidence_level):
     """Before/after test battery, printed as a summary per series."""
     _require_inputs(ctx, inputs)
-    try:
-        cfg = _build_config(
-            inputs, None, estimator=estimator, window=window, step=step,
-            ladder=ladder, detrend_order=detrend_order, split_date=split_date,
-            split_by=split_by, confidence_level=confidence_level,
-        )
-    except PipelineError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(1)
+    cfg = _build_config(
+        inputs, estimator=estimator, window=window, step=step, ladder=ladder,
+        detrend_order=detrend_order, split_date=split_date, split_by=split_by,
+        confidence_level=confidence_level,
+    )
 
-    status = 0
-    for path, label in cfg.inputs:
-        try:
-            analysis = analyse_series(ingest_csv(path, label), cfg)
-        except (ValueError, PipelineError, OSError) as exc:
-            click.echo(f"error: {label}: {exc}", err=True)
-            status = 2
-            continue
+    def show(prices) -> None:
+        analysis = analyse_series(prices, cfg)
         report = analysis.report
         if report is None:
-            click.echo(f"{label}: {analysis.note}", err=True)
-            status = 2
-            continue
+            raise ValueError(analysis.note)
         n_before, n_after = analysis.counts
         mw, lev = report.mann_whitney, report.levene
-        click.echo(f"{label}: n_before={n_before} n_after={n_after}")
+        click.echo(f"{prices.id}: n_before={n_before} n_after={n_after}")
         click.echo(f"  mean before/after: {report.mean_before:.4f} / {report.mean_after:.4f}")
         click.echo(f"  mann-whitney: u1={mw.u1:.1f} u2={mw.u2:.1f} p={mw.p:.4g} ({mw.method})")
         w_str = "undefined" if lev.w is None else f"{lev.w:.4f}"
@@ -237,7 +187,8 @@ def test_cmd(ctx, inputs, estimator, window, step, ladder, detrend_order,
                 f"  {key}: mean={b.mean:.4f} bounds=({b.lower:.4f}, {b.upper:.4f}) "
                 f"inefficient={b.inefficient}"
             )
-    ctx.exit(status)
+
+    ctx.exit(run_each(cfg.inputs, show))
 
 
 @main.command("synth")
@@ -272,19 +223,14 @@ def synth_cmd(output, hurst_h, n, sigma, seed) -> None:
 def run_cmd(ctx, inputs, config_file, estimator, window, step, ladder, detrend_order,
             split_date, split_by, confidence_level, output_dir, formats):
     """Full pipeline: stats, rolling estimates, and test report per series."""
-    try:
-        cfg = _build_config(
-            inputs, config_file, estimator=estimator, window=window, step=step,
-            ladder=ladder, detrend_order=detrend_order, split_date=split_date,
-            split_by=split_by, confidence_level=confidence_level,
-            output_dir=output_dir, formats=formats,
-        )
-        if not cfg.inputs:
-            _require_inputs(ctx, ())
-        ctx.exit(run_pipeline(cfg))
-    except PipelineError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(1)
+    cfg = _build_config(
+        inputs, config_file, estimator=estimator, window=window, step=step,
+        ladder=ladder, detrend_order=detrend_order, split_date=split_date,
+        split_by=split_by, confidence_level=confidence_level,
+        output_dir=output_dir, formats=formats,
+    )
+    _require_inputs(ctx, cfg.inputs)
+    ctx.exit(run_pipeline(cfg))
 
 
 if __name__ == "__main__":

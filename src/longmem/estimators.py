@@ -7,7 +7,6 @@ log(statistic) on log(block size).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -160,12 +159,10 @@ def rs_statistic(x: Sequence[float]) -> float:
     arr = np.asarray(x, dtype=float)
     if arr.size < 2:
         raise ValueError(f"R/S needs at least 2 points, got {arr.size}")
-    dev = arr - arr.mean()
-    s = math.sqrt(float(np.mean(dev**2)))
-    if s == 0 or np.ptp(arr) == 0:
+    value = _block_rs_values(arr, arr.size)
+    if not value.size:
         raise ValueError("degenerate window: zero variance")
-    cum = np.cumsum(dev)
-    return float((cum.max() - cum.min()) / s)
+    return float(value[0])
 
 
 def _block_rs_values(x: np.ndarray, tau: int) -> np.ndarray:

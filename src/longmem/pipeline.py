@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
@@ -39,6 +39,7 @@ __all__ = [
     "ingest_csv",
     "emit_synth",
     "run_pipeline",
+    "run_each",
     "SeriesAnalysis",
     "analyse_series",
     "process_series",
@@ -153,42 +154,38 @@ def load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def config_from_mapping(mapping: dict[str, str], base: RunConfig | None = None) -> RunConfig:
-    """Apply flat string key/values (config file fields) onto a RunConfig."""
-    cfg = base or RunConfig()
-    unknown = set(mapping) - {f.name for f in fields(RunConfig)}
+def _items(value: str) -> list[str]:
+    return [s.strip() for s in value.split(",") if s.strip()]
+
+
+# How each RunConfig field is read from its setting string.
+_SETTING_PARSERS = {
+    "inputs": lambda v: tuple(parse_input_spec(s) for s in _items(v)),
+    "estimator": str.lower,
+    "window": int,
+    "step": int,
+    "ladder": lambda v: tuple(int(s) for s in v.split(",")),
+    "detrend_order": int,
+    "split_date": Date.fromisoformat,
+    "split_by": str,
+    "confidence_level": float,
+    "output_dir": Path,
+    "formats": lambda v: frozenset(_items(v)),
+}
+
+
+def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
+    """A RunConfig from flat string settings (config file fields or flags)."""
+    unknown = set(mapping) - _SETTING_PARSERS.keys()
     if unknown:
         raise PipelineError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
-    try:
-        if "inputs" in mapping:
-            kwargs["inputs"] = tuple(
-                parse_input_spec(s.strip())
-                for s in mapping["inputs"].split(",")
-                if s.strip()
-            )
-        for key in ("window", "step", "detrend_order"):
-            if key in mapping:
-                kwargs[key] = int(mapping[key])
-        if "ladder" in mapping:
-            kwargs["ladder"] = tuple(int(s) for s in mapping["ladder"].split(","))
-        if "estimator" in mapping:
-            kwargs["estimator"] = mapping["estimator"].lower()
-        if "split_date" in mapping:
-            kwargs["split_date"] = Date.fromisoformat(mapping["split_date"])
-        if "split_by" in mapping:
-            kwargs["split_by"] = mapping["split_by"]
-        if "confidence_level" in mapping:
-            kwargs["confidence_level"] = float(mapping["confidence_level"])
-        if "output_dir" in mapping:
-            kwargs["output_dir"] = Path(mapping["output_dir"])
-        if "formats" in mapping:
-            kwargs["formats"] = frozenset(
-                s.strip() for s in mapping["formats"].split(",") if s.strip()
-            )
-    except ValueError as exc:
-        raise PipelineError(f"bad config value: {exc}") from exc
-    return replace(cfg, **kwargs)
+    for key, value in mapping.items():
+        try:
+            kwargs[key] = _SETTING_PARSERS[key](value)
+        except ValueError as exc:
+            raise PipelineError(f"bad setting {key} = {value!r}: {exc}") from exc
+    return RunConfig(**kwargs)
 
 
 def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
@@ -205,12 +202,24 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     width = 0  # cells a data row needs; 0 until the header is read
     dates: list[Date] = []
     prices: list[float] = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    # undecodable bytes come through as lone surrogates, so they can be
+    # reported with the row they are on
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise ValueError(f"{path}: row {lineno}: not UTF-8 (byte 0x{byte:02x} "
+                                     f"at column {exc.start + 1})") from None
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            cells = next(csv.reader([raw]))
+            try:
+                cells = next(csv.reader([raw]))
+            except csv.Error as exc:
+                raise ValueError(f"{path}: row {lineno}: {exc}") from exc
             if not width:
                 columns = [c.strip().lower() for c in cells]
                 if "date" not in columns or "price" not in columns:
@@ -421,26 +430,38 @@ def _check_output_dir(out: Path) -> None:
         raise PipelineError(f"output directory {out} is not writable: {exc}") from exc
 
 
-def run_pipeline(config: RunConfig, *, log=sys.stderr) -> int:
+def run_each(inputs, handle, *, log=None) -> int:
+    """Ingest every ``(path, label)`` input and pass the series to ``handle``.
+
+    A series whose ingest or handling fails is reported on ``log`` (stderr
+    when None) as ``error: <label>: <cause>``, and the rest still run.
+    Returns 2 when any series failed, else 0.
+    """
+    status = 0
+    for path, label in inputs:
+        try:
+            handle(ingest_csv(path, label))
+        except (ValueError, PipelineError, OSError) as exc:
+            print(f"error: {label}: {exc}", file=sys.stderr if log is None else log)
+            status = 2
+    return status
+
+
+def run_pipeline(config: RunConfig, *, log=None) -> int:
     """Process every configured input series; returns the process exit status.
 
     0 on full success; 2 when at least one series failed (the remaining
     series are still processed). Raises PipelineError before any computation
     when the configuration itself is unusable (no inputs, unwritable output
-    directory).
+    directory). Progress and errors go to ``log``, stderr when None.
     """
     if not config.inputs:
         raise PipelineError("no input series configured")
     _check_output_dir(Path(config.output_dir))
-    failures = 0
-    for path, label in config.inputs:
-        try:
-            prices = ingest_csv(path, label)
-            written = process_series(prices, config)
-        except (ValueError, PipelineError, OSError) as exc:
-            failures += 1
-            print(f"error: {label}: {exc}", file=log)
-            continue
-        for p in written:
+    log = sys.stderr if log is None else log
+
+    def write(prices: PriceSeries) -> None:
+        for p in process_series(prices, config):
             print(f"wrote {p}", file=log)
-    return 2 if failures else 0
+
+    return run_each(config.inputs, write, log=log)

@@ -313,8 +313,6 @@ def build_report(
     label: str,
     *,
     level: float = 0.999,
-    center: str = "mean",
-    alternative: str = "two-sided",
 ) -> TestReport:
     """Assemble the full test battery over before/after Hurst subsamples.
 
@@ -341,7 +339,7 @@ def build_report(
         mean_after=float(y.mean()),
         sd_before=_population_sd(x),
         sd_after=_population_sd(y),
-        mann_whitney=mann_whitney(x, y, alternative=alternative),
-        levene=levene(x, y, center=center),
+        mann_whitney=mann_whitney(x, y),
+        levene=levene(x, y),
         bounds=bounds,
     )

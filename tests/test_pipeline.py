@@ -11,6 +11,8 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import longmem
 from longmem.cli import main
@@ -25,7 +27,7 @@ from longmem.pipeline import (
     run_pipeline,
 )
 from longmem.rolling import window_offsets
-from longmem.series import log_returns
+from longmem.series import PriceSeries, log_returns
 from longmem.synth import FgnSpec, generate_fgn
 
 
@@ -116,6 +118,43 @@ class TestIngestCsv:
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert ingest_csv(bom, "t") == ingest_csv(plain)
+
+    def test_non_utf8_byte_names_file_and_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\xef\xbb\xbfdate,price\n2020-01-02,100\n2020-01-03,101\n\xff\xfe,1\n")
+        with pytest.raises(ValueError) as err:
+            ingest_csv(p)
+        assert str(err.value) == f"{p}: row 4: not UTF-8 (byte 0xff at column 1)"
+
+    def test_oversized_cell_names_file_and_row(self, tmp_path):
+        p = write_prices(tmp_path / "t.csv", ["2020-01-02,100", "2020-01-03," + "1" * 200_000])
+        with pytest.raises(ValueError) as err:
+            ingest_csv(p)
+        assert str(err.value).startswith(f"{p}: row 3: field larger than field limit")
+
+    FUZZ_SEED = (b"# comment\ndate,price\n2020-01-02,100.5\n"
+                 b"2020-01-03,101\n2020-01-06,99.25\n")
+
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                  st.integers(min_value=0, max_value=len(FUZZ_SEED)),
+                  st.binary(min_size=1, max_size=4)),
+        min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_bytes_give_series_or_named_value_error(self, tmp_path_factory, edits):
+        data = self.FUZZ_SEED
+        for op, pos, chunk in edits:
+            pos %= len(data) + 1
+            tail = data[pos:] if op == "insert" else data[pos + len(chunk):]
+            data = data[:pos] + (b"" if op == "delete" else chunk) + tail
+        path = tmp_path_factory.mktemp("fuzz") / "fuzzed.csv"
+        path.write_bytes(data)
+        try:
+            series = ingest_csv(path, "fuzzlabel")
+        except ValueError as exc:
+            assert str(path) in str(exc) or "fuzzlabel" in str(exc), str(exc)
+        else:
+            assert isinstance(series, PriceSeries)
 
 
 class TestEmitSynth:
@@ -378,6 +417,56 @@ class TestCli:
         assert stats["protocol"]["window"] == 600  # from file
         assert stats["protocol"]["step"] == 21  # flag wins
 
+    def test_run_reports_written_files_on_stderr(self, tmp_path, synth_file):
+        out = tmp_path / "o"
+        res = self.invoke("run", str(synth_file), "--output-dir", str(out))
+        assert res.exit_code == 0, res.output
+        assert res.stderr.splitlines() == [
+            f"wrote {out / name}"
+            for name in ("serie_stats.json", "serie_report.json", "serie_rolling.csv")
+        ]
+
+    def test_bad_setting_exits_one_alike_from_flag_and_config_file(
+        self, tmp_path, synth_file
+    ):
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text("window = abc\n")
+        out = tmp_path / "o"
+        by_flag = self.invoke("run", str(synth_file), "--window", "abc", "--output-dir", str(out))
+        by_file = self.invoke("run", str(synth_file), "--config", str(cfg_file),
+                              "--output-dir", str(out))
+        assert by_flag.exit_code == by_file.exit_code == 1
+        assert by_flag.stderr == by_file.stderr
+        assert by_flag.stderr.startswith("error: bad setting window = 'abc': ")
+        assert not out.exists()
+
+    def test_estimator_flag_is_case_insensitive(self, synth_file):
+        upper = self.invoke("hurst", str(synth_file), "--estimator", "DFA")
+        lower = self.invoke("hurst", str(synth_file), "--estimator", "dfa")
+        assert upper.exit_code == lower.exit_code == 0, upper.output
+        assert upper.output == lower.output
+
+    @pytest.mark.parametrize("command", ["describe", "hurst"])
+    @pytest.mark.parametrize("suffixes, message", [
+        ([":"], "error: empty label in input spec "),
+        ([":x", ":x"], "error: duplicate label 'x': "),
+    ])
+    def test_bad_labels_exit_one_before_any_work(self, synth_file, command, suffixes, message):
+        res = self.invoke(command, *(f"{synth_file}{s}" for s in suffixes))
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(message)
+        assert "Traceback" not in res.output
+
+    def test_oversized_cell_fails_its_series_only(self, tmp_path, synth_file):
+        big = write_prices(tmp_path / "big.csv", ["2020-01-02,100", "2020-01-03," + "1" * 200_000])
+        out = tmp_path / "o"
+        res = self.invoke("run", str(big), str(synth_file), "--output-dir", str(out))
+        assert res.exit_code == 2
+        assert f"error: big: {big}: row 3: field larger than field limit" in res.stderr
+        assert (out / "serie_report.json").exists()
+        assert not (out / "big_stats.json").exists()
+
     def test_describe_command(self, synth_file):
         res = self.invoke("describe", str(synth_file))
         assert res.exit_code == 0
@@ -450,6 +539,7 @@ class TestCli:
         res = self.invoke("test", str(synth_file), "--split-date", split)
         assert res.exit_code == 2
         assert res.stdout == ""
+        assert res.stderr.startswith("error: serie: split at ")
         assert "'after' subsample with only 1 window" in res.stderr
         assert "t bounds" not in res.stderr
 
