@@ -7,8 +7,9 @@ log(statistic) on log(block size).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,13 +83,12 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, 
     Needs at least two points with positive sizes and values. ``r_squared`` is
     1.0 for a horizontal perfect fit (zero total variation).
     """
-    pts = [(float(m), float(v)) for m, v in points]
+    pts = np.array(list(points), dtype=float).reshape(-1, 2)
     if len(pts) < 2:
         raise ValueError("power-law fit needs at least 2 points")
-    if any(m <= 0 or v <= 0 for m, v in pts):
+    if np.any(pts <= 0):
         raise ValueError("power-law fit needs positive sizes and values")
-    x = np.log(np.array([m for m, _ in pts]))
-    y = np.log(np.array([v for _, v in pts]))
+    x, y = np.log(pts[:, 0]), np.log(pts[:, 1])
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     if sxx == 0:
@@ -105,18 +105,18 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, 
 class HurstEstimate:
     """One Hurst exponent with its regression diagnostics.
 
-    ``h`` is the slope of the log-log fit through ``points``; the stored
-    value is recomputable from the points to 1e-12. ``detrend_order`` is the
-    DFA polynomial order and None for R/S estimates.
+    ``h``, ``intercept`` and ``r_squared`` come from one log-log fit through
+    ``points``, the (size, statistic) pairs kept from ``ladder``; at least 3
+    are needed. ``detrend_order`` is the DFA order and None for R/S.
     """
 
-    h: float
-    intercept: float
-    r_squared: float
     method: str
     detrend_order: int | None
     ladder: BlockLadder
     points: tuple[tuple[int, float], ...]
+    h: float = field(init=False)
+    intercept: float = field(init=False)
+    r_squared: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.method not in (METHOD_DFA, METHOD_RS):
@@ -126,13 +126,11 @@ class HurstEstimate:
                 raise ValueError("DFA estimates need detrend_order >= 1")
         elif self.detrend_order is not None:
             raise ValueError("detrend_order applies to DFA only")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError("r_squared must lie in [0, 1]")
-        if any(v <= 0 for _, v in self.points):
-            raise ValueError("retained scaling points must be positive")
-        slope, _, _ = fit_power_law(self.points)
-        if abs(slope - self.h) > 1e-12 * max(1.0, abs(self.h)):
-            raise ValueError("h is not the slope of the stored points")
+        if len(self.points) < 3:
+            raise ValueError(f"insufficient scaling points: only {len(self.points)} of "
+                             f"{len(self.ladder)} ladder sizes have a positive statistic")
+        for name, value in zip(("h", "intercept", "r_squared"), fit_power_law(self.points)):
+            object.__setattr__(self, name, value)
 
 
 def estimate_from_points(
@@ -144,12 +142,22 @@ def estimate_from_points(
 ) -> HurstEstimate:
     """Build a HurstEstimate by regressing the given scaling points."""
     pts = tuple((int(m), float(v)) for m, v in points)
-    if len(pts) < 3:
-        raise ValueError(
-            f"insufficient scaling points: need at least 3, got {len(pts)}"
-        )
-    slope, intercept, r2 = fit_power_law(pts)
-    return HurstEstimate(slope, intercept, r2, method, detrend_order, ladder, pts)
+    return HurstEstimate(method, detrend_order, ladder, pts)
+
+
+def _ladder_estimate(x: Sequence[float], ladder: BlockLadder | None, method: str,
+                     statistic: Callable[[np.ndarray, int], float],
+                     detrend_order: int | None = None) -> HurstEstimate:
+    """Fit the sizes of ``ladder`` (the default when None) whose statistic is
+    positive; a zero statistic has no logarithm. DFA works on the profile."""
+    ladder = BlockLadder.default() if ladder is None else ladder
+    arr = np.asarray(x, dtype=float)
+    ladder.check_series_length(arr.size)
+    if method == METHOD_DFA:
+        arr = dfa_profile(arr)
+    points = [(m, s) for m in ladder if (s := statistic(arr, m)) > 0]
+    return estimate_from_points(points, method=method, ladder=ladder,
+                                detrend_order=detrend_order)
 
 
 def rs_statistic(x: Sequence[float]) -> float:
@@ -173,11 +181,15 @@ def _block_rs_values(x: np.ndarray, tau: int) -> np.ndarray:
     s = np.sqrt(np.mean(dev**2, axis=1))
     spread = np.ptp(blocks, axis=1)
     keep = (s > 0) & (spread > 0)
-    if not np.any(keep):
-        return np.empty(0)
     cum = np.cumsum(dev[keep], axis=1)
     rng = cum.max(axis=1) - cum.min(axis=1)
     return rng / s[keep]
+
+
+def _mean_rs(x: np.ndarray, tau: int) -> float:
+    """Mean R/S over the usable blocks of length tau; 0 when there are none."""
+    vals = _block_rs_values(x, tau)
+    return float(vals.mean()) if vals.size else 0.0
 
 
 def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEstimate:
@@ -185,18 +197,10 @@ def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEsti
 
     For each ladder size the series is cut into non-overlapping blocks, the
     rescaled range is averaged across the non-degenerate blocks, and the
-    exponent is the slope of log(mean R/S) on log(size).
+    exponent is the slope of log(mean R/S) on log(size). Sizes with no
+    non-degenerate block are dropped; fewer than 3 survivors raise.
     """
-    if ladder is None:
-        ladder = BlockLadder.default()
-    arr = np.asarray(x, dtype=float)
-    ladder.check_series_length(arr.size)
-    points = []
-    for tau in ladder:
-        vals = _block_rs_values(arr, tau)
-        if vals.size:
-            points.append((tau, float(vals.mean())))
-    return estimate_from_points(points, method=METHOD_RS, ladder=ladder)
+    return _ladder_estimate(x, ladder, METHOD_RS, _mean_rs)
 
 
 def dfa_profile(y: Sequence[float]) -> np.ndarray:
@@ -242,21 +246,5 @@ def hurst_dfa(
     """
     if order < 1:
         raise ValueError("DFA detrend order must be >= 1")
-    if ladder is None:
-        ladder = BlockLadder.default()
-    arr = np.asarray(y, dtype=float)
-    ladder.check_series_length(arr.size)
-    prof = dfa_profile(arr)
-    points = []
-    for m in ladder:
-        f = dfa_fluctuation(prof, m, order)
-        if f > 0:
-            points.append((m, f))
-    if len(points) < 3:
-        raise ValueError(
-            f"insufficient scaling points: only {len(points)} ladder sizes "
-            "have non-zero fluctuation"
-        )
-    return estimate_from_points(
-        points, method=METHOD_DFA, ladder=ladder, detrend_order=order
-    )
+    fluctuation = partial(dfa_fluctuation, order=order)
+    return _ladder_estimate(y, ladder, METHOD_DFA, fluctuation, order)

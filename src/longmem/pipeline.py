@@ -142,8 +142,12 @@ def parse_input_spec(spec: str) -> tuple[Path, str]:
 
 def load_config_file(path: Path) -> dict[str, str]:
     """Flat ``key = value`` config format; '#' starts a comment line."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PipelineError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -246,7 +250,9 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
                 raise ValueError(
                     f"{path}: row {lineno}: unparsable price {raw_price!r}"
                 ) from exc
-            if not np.isfinite(p) or p <= 0:
+            if not np.isfinite(p):
+                raise ValueError(f"{path}: row {lineno}: non-finite price {raw_price}")
+            if p <= 0:
                 raise ValueError(f"{path}: row {lineno}: non-positive price {raw_price}")
             if dates:
                 if d == dates[-1]:

@@ -93,12 +93,15 @@ def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingRe
     """One Hurst estimate per window, dated by the window's first and last return."""
     values, dates, last = returns.values, returns.dates, protocol.window - 1
     offsets = window_offsets(values.size, protocol.window, protocol.step)
-    h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
-    for i, off in enumerate(offsets):
-        est = protocol.estimate(values[off : off + protocol.window])
-        h[i], r_squared[i] = est.h, est.r_squared
     starts = tuple(dates[off] for off in offsets)
     ends = tuple(dates[off + last] for off in offsets)
+    h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
+    for i, off in enumerate(offsets):
+        try:
+            est = protocol.estimate(values[off : off + protocol.window])
+        except ValueError as exc:
+            raise ValueError(f"window {i + 1} ({starts[i]} to {ends[i]}): {exc}") from exc
+        h[i], r_squared[i] = est.h, est.r_squared
     return RollingResult(returns.id, protocol, starts, ends, h, r_squared)
 
 

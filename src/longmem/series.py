@@ -54,7 +54,9 @@ class PriceSeries:
             raise ValueError(f"price series '{self.id}' needs at least 2 observations")
         _check_dates_increasing(self.dates)
         for d, p in zip(self.dates, self.prices):
-            if not math.isfinite(p) or p <= 0:
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite price {p} at {d.isoformat()}")
+            if p <= 0:
                 raise ValueError(f"non-positive price {p} at {d.isoformat()}")
 
     @classmethod

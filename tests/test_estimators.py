@@ -259,16 +259,50 @@ class TestHurstEstimate:
         slope, _, _ = fit_power_law(est.points)
         assert abs(slope - est.h) <= 1e-12 * max(1.0, abs(est.h))
 
-    def test_rejects_mismatched_slope(self):
-        lad = BlockLadder((4, 8, 16))
-        points = ((4, 2.0), (8, 2.8), (16, 4.1))
-        slope, intercept, r2 = fit_power_law(points)
-        with pytest.raises(ValueError, match="not the slope"):
-            HurstEstimate(slope + 0.01, intercept, r2, "rs", None, lad, points)
-
     def test_rejects_rs_with_detrend_order(self):
         lad = BlockLadder((4, 8, 16))
         points = ((4, 2.0), (8, 2.8), (16, 4.1))
-        slope, intercept, r2 = fit_power_law(points)
         with pytest.raises(ValueError, match="DFA only"):
-            HurstEstimate(slope, intercept, r2, "rs", 1, lad, points)
+            HurstEstimate("rs", 1, lad, points)
+
+    def test_fit_is_stored(self):
+        lad = BlockLadder((4, 8, 16))
+        points = ((4, 2.0), (8, 2.8), (16, 4.1))
+        est = HurstEstimate("rs", None, lad, points)
+        assert (est.h, est.intercept, est.r_squared) == fit_power_law(points)
+
+    def test_too_few_points_names_survivors(self):
+        with pytest.raises(ValueError) as info:
+            HurstEstimate("rs", None, BlockLadder((4, 8, 16)), ((4, 2.0), (8, 2.8)))
+        assert str(info.value) == (
+            "insufficient scaling points: only 2 of 3 ladder sizes have a positive statistic"
+        )
+
+
+class TestDropRule:
+    @pytest.mark.parametrize("estimate", [hurst_dfa, hurst_rs])
+    def test_constant_input_same_error_for_both_estimators(self, estimate):
+        with pytest.raises(ValueError) as info:
+            estimate(np.full(512, 2.0), PAPER_LADDER)
+        assert str(info.value) == (
+            "insufficient scaling points: only 0 of 6 ladder sizes have a positive statistic"
+        )
+
+    def test_rs_drops_size_whose_blocks_are_all_constant(self):
+        # every 4-block repeats one value; 8-blocks and longer span two values
+        x = np.repeat(np.random.default_rng(2).standard_normal(32), 4)
+        est = hurst_rs(x, BlockLadder((4, 8, 16, 32)))
+        assert [m for m, _ in est.points] == [8, 16, 32]
+        assert est.ladder.sizes == (4, 8, 16, 32)
+
+    def test_dfa_drops_size_with_zero_fluctuation(self):
+        # a profile linear on every 4-block, as multiples of (1, 3, 5, 7) so
+        # the order-1 fit leaves no rounding residue; longer blocks span kinks
+        scale = np.tile([1.0, -1.0, 2.0, -2.0], 8)
+        scale[-1] = 0.0  # a profile ends at 0, so its last block is flat
+        profile = np.concatenate([k * np.array([1.0, 3.0, 5.0, 7.0]) for k in scale])
+        y = np.diff(profile, prepend=0.0)
+        assert np.array_equal(dfa_profile(y), profile)
+        assert dfa_fluctuation(profile, 4, order=1) == 0.0
+        est = hurst_dfa(y, BlockLadder((4, 8, 16, 32)), order=1)
+        assert [m for m, _ in est.points] == [8, 16, 32]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import date
@@ -88,6 +89,16 @@ class TestIngestCsv:
     def test_non_positive_price_rejected(self, tmp_path):
         p = write_prices(tmp_path / "t.csv", ["2020-01-02,100", "2020-01-03,-5"])
         with pytest.raises(ValueError, match="row 3"):
+            ingest_csv(p)
+
+    @pytest.mark.parametrize("cell, cause", [
+        ("nan", "non-finite price nan"),
+        ("inf", "non-finite price inf"),
+        ("-1", "non-positive price -1"),
+    ])
+    def test_bad_price_states_its_cause(self, tmp_path, cell, cause):
+        p = write_prices(tmp_path / "t.csv", ["2020-01-02,100", f"2020-01-03,{cell}"])
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: row 3: {cause}')}$"):
             ingest_csv(p)
 
     def test_header_must_name_date_and_price(self, tmp_path):
@@ -466,6 +477,36 @@ class TestCli:
         assert f"error: big: {big}: row 3: field larger than field limit" in res.stderr
         assert (out / "serie_report.json").exists()
         assert not (out / "big_stats.json").exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda p: p.write_bytes(b"window = 5\xff00\n"),
+        lambda p: p.mkdir(),
+    ], ids=["non-utf8", "directory"])
+    def test_unreadable_config_file_exits_one(self, tmp_path, synth_file, make):
+        cfg_file = tmp_path / "bad.cfg"
+        make(cfg_file)
+        out = tmp_path / "o"
+        res = self.invoke("run", str(synth_file), "--config", str(cfg_file),
+                          "--output-dir", str(out))
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith(f"error: {cfg_file}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["dfa", "rs"])
+    def test_stale_prices_name_the_failing_window(self, tmp_path, synth_file, estimator):
+        # prices stop moving after the 700th, as in an illiquid index
+        series = ingest_csv(synth_file)
+        stale = series.prices[:700] + series.prices[699:700] * (len(series) - 700)
+        path = write_prices(tmp_path / "stale.csv",
+                            [f"{d.isoformat()},{p!r}" for d, p in zip(series.dates, stale)])
+        res = self.invoke("run", str(path), "--estimator", estimator,
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 2
+        assert re.fullmatch(
+            r"error: stale: window 101 \(\d{4}-\d\d-\d\d to \d{4}-\d\d-\d\d\): "
+            r"insufficient scaling points: only 0 of 6 ladder sizes have a positive statistic\n",
+            res.stderr)
 
     def test_describe_command(self, synth_file):
         res = self.invoke("describe", str(synth_file))

@@ -1,3 +1,4 @@
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longmem import estimators
 from longmem.estimators import BlockLadder, hurst_dfa, hurst_rs
 from longmem.rolling import (
     RollingProtocol,
@@ -128,6 +130,27 @@ class TestRollingHurst:
         assert (a.start_dates, a.end_dates) == (b.start_dates, b.end_dates)
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.r_squared, b.r_squared)
+
+    @pytest.mark.parametrize("estimator", ["dfa", "rs"])
+    def test_fits_each_window_once(self, monkeypatch, estimator):
+        calls = []
+        fit = estimators.fit_power_law
+        monkeypatch.setattr(estimators, "fit_power_law",
+                            lambda points: calls.append(points) or fit(points))
+        result = rolling_hurst(make_returns(generate_gaussian(100, seed=8)),
+                               small_protocol(estimator=estimator))
+        assert len(calls) == result.h.size == (100 - 40) // 5 + 1
+
+    @pytest.mark.parametrize("estimator", ["dfa", "rs"])
+    def test_estimator_error_names_window(self, estimator):
+        # returns go flat from index 60: the window at offset 60 is the
+        # first with no usable ladder size
+        rets = make_returns(np.concatenate([generate_gaussian(60, seed=9), np.zeros(40)]))
+        message = (f"window 13 ({rets.dates[60].isoformat()} to {rets.dates[99].isoformat()}): "
+                   "insufficient scaling points: only 0 of 3 ladder sizes have a positive "
+                   "statistic")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rolling_hurst(rets, small_protocol(estimator=estimator))
 
     def test_columns_are_read_only(self):
         result = rolling_hurst(make_returns(generate_gaussian(100, seed=7)), small_protocol())

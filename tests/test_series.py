@@ -32,6 +32,15 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="2020-01-01"):
             make_prices([0.0, 1.0])
 
+    @pytest.mark.parametrize("price, cause", [
+        (math.nan, "non-finite price nan"),
+        (math.inf, "non-finite price inf"),
+        (-1.0, "non-positive price -1.0"),
+    ])
+    def test_bad_price_states_its_cause(self, price, cause):
+        with pytest.raises(ValueError, match=f"^{cause} at 2020-01-02$"):
+            make_prices([100.0, price])
+
     def test_rejects_non_increasing_dates(self):
         d = date(2020, 1, 1)
         with pytest.raises(ValueError, match="not strictly increasing"):
