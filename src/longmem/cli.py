@@ -9,6 +9,7 @@ from pathlib import Path
 import click
 
 from .pipeline import (
+    _SETTINGS,
     PipelineError,
     RunConfig,
     analyse_series,
@@ -23,31 +24,18 @@ from .series import describe as describe_values
 from .series import log_returns
 from .synth import FgnSpec
 
-# Setting values stay strings here; config_from_mapping reads them.
-_estimator_opt = click.option(
-    "--estimator", metavar="dfa|rs", help="Hurst estimator, case-insensitive [default: dfa].")
-_window_opt = click.option(
-    "--window", metavar="INT", help="Sliding window length in datapoints [default: 500].")
-_step_opt = click.option(
-    "--step", metavar="INT", help="Window advance in datapoints [default: 7].")
-_ladder_opt = click.option(
-    "--ladder", metavar="INTS",
-    help="Comma-separated block sizes [default: 4,8,16,32,64,128].")
-_order_opt = click.option(
-    "--detrend-order", metavar="INT", help="DFA polynomial order [default: 1].")
-_split_opt = click.option(
-    "--split-date", metavar="DATE",
-    help="ISO date splitting the subsamples [default: 2008-09-15].")
-_split_by_opt = click.option(
-    "--split-by", metavar="start|end",
-    help="Classify windows by start or end date [default: start].")
-_level_opt = click.option(
-    "--confidence-level", metavar="FLOAT",
-    help="One-sided t confidence level, in (0.5, 1), for the bounds [default: 0.999].")
-_outdir_opt = click.option(
-    "--output-dir", metavar="PATH", help="Directory for report files [default: .].")
-_formats_opt = click.option(
-    "--formats", metavar="LIST", help="Comma-separated subset of json,csv [default: json,csv].")
+
+def _series_args(*names):
+    """The INPUTS argument and one flag per named setting, in the order given.
+
+    Flag values stay strings; config_from_mapping reads them.
+    """
+    def decorate(f):
+        for name in reversed(names):
+            _, metavar, text = _SETTINGS[name]
+            f = click.option("--" + name.replace("_", "-"), metavar=metavar, help=text)(f)
+        return click.argument("inputs", nargs=-1)(f)
+    return decorate
 
 
 def _build_config(inputs, config_file=None, **flags) -> RunConfig:
@@ -90,7 +78,7 @@ def main() -> None:
 
 
 @main.command("describe")
-@click.argument("inputs", nargs=-1)
+@_series_args()
 @click.pass_context
 def describe_cmd(ctx: click.Context, inputs) -> None:
     """Descriptive statistics of each file's log returns."""
@@ -106,18 +94,14 @@ def describe_cmd(ctx: click.Context, inputs) -> None:
 
 
 @main.command("hurst")
-@click.argument("inputs", nargs=-1)
-@_estimator_opt
-@_ladder_opt
-@_order_opt
+@_series_args("estimator", "ladder", "detrend_order")
 @click.pass_context
-def hurst_cmd(ctx: click.Context, inputs, estimator, ladder, detrend_order) -> None:
+def hurst_cmd(ctx: click.Context, inputs, **flags) -> None:
     """Whole-series Hurst estimate for each file."""
     _require_inputs(ctx, inputs)
     # a whole-series estimate has no rolling window: an unbounded one keeps
     # the window rule out, and the estimator checks the series length
-    cfg = _build_config(inputs, estimator=estimator, window=str(sys.maxsize),
-                        ladder=ladder, detrend_order=detrend_order)
+    cfg = _build_config(inputs, window=str(sys.maxsize), **flags)
     protocol = cfg.protocol()
 
     def show(prices) -> None:
@@ -131,43 +115,22 @@ def hurst_cmd(ctx: click.Context, inputs, estimator, ladder, detrend_order) -> N
 
 
 @main.command("rolling")
-@click.argument("inputs", nargs=-1)
-@_estimator_opt
-@_window_opt
-@_step_opt
-@_ladder_opt
-@_order_opt
-@_outdir_opt
+@_series_args("estimator", "window", "step", "ladder", "detrend_order", "output_dir")
 @click.pass_context
-def rolling_cmd(ctx, inputs, estimator, window, step, ladder, detrend_order, output_dir):
+def rolling_cmd(ctx, inputs, **flags):
     """Rolling-window Hurst estimates, written to <label>_rolling.csv."""
     _require_inputs(ctx, inputs)
-    ctx.exit(run_pipeline(_build_config(
-        inputs, estimator=estimator, window=window, step=step, ladder=ladder,
-        detrend_order=detrend_order, output_dir=output_dir, formats="csv",
-    )))
+    ctx.exit(run_pipeline(_build_config(inputs, formats="csv", **flags)))
 
 
 @main.command("test")
-@click.argument("inputs", nargs=-1)
-@_estimator_opt
-@_window_opt
-@_step_opt
-@_ladder_opt
-@_order_opt
-@_split_opt
-@_split_by_opt
-@_level_opt
+@_series_args("estimator", "window", "step", "ladder", "detrend_order",
+              "split_date", "split_by", "confidence_level")
 @click.pass_context
-def test_cmd(ctx, inputs, estimator, window, step, ladder, detrend_order,
-             split_date, split_by, confidence_level):
+def test_cmd(ctx, inputs, **flags):
     """Before/after test battery, printed as a summary per series."""
     _require_inputs(ctx, inputs)
-    cfg = _build_config(
-        inputs, estimator=estimator, window=window, step=step, ladder=ladder,
-        detrend_order=detrend_order, split_date=split_date, split_by=split_by,
-        confidence_level=confidence_level,
-    )
+    cfg = _build_config(inputs, **flags)
 
     def show(prices) -> None:
         analysis = analyse_series(prices, cfg)
@@ -206,29 +169,14 @@ def synth_cmd(output, hurst_h, n, sigma, seed) -> None:
 
 
 @main.command("run")
-@click.argument("inputs", nargs=-1)
 @click.option("--config", "config_file", type=click.Path(exists=True, path_type=Path),
               default=None, help="Flat key=value config file; flags override it.")
-@_estimator_opt
-@_window_opt
-@_step_opt
-@_ladder_opt
-@_order_opt
-@_split_opt
-@_split_by_opt
-@_level_opt
-@_outdir_opt
-@_formats_opt
+@_series_args("estimator", "window", "step", "ladder", "detrend_order", "split_date",
+              "split_by", "confidence_level", "output_dir", "formats")
 @click.pass_context
-def run_cmd(ctx, inputs, config_file, estimator, window, step, ladder, detrend_order,
-            split_date, split_by, confidence_level, output_dir, formats):
+def run_cmd(ctx, inputs, config_file, **flags):
     """Full pipeline: stats, rolling estimates, and test report per series."""
-    cfg = _build_config(
-        inputs, config_file, estimator=estimator, window=window, step=step,
-        ladder=ladder, detrend_order=detrend_order, split_date=split_date,
-        split_by=split_by, confidence_level=confidence_level,
-        output_dir=output_dir, formats=formats,
-    )
+    cfg = _build_config(inputs, config_file, **flags)
     _require_inputs(ctx, cfg.inputs)
     ctx.exit(run_pipeline(cfg))
 

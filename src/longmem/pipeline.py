@@ -162,31 +162,36 @@ def _items(value: str) -> list[str]:
     return [s.strip() for s in value.split(",") if s.strip()]
 
 
-# How each RunConfig field is read from its setting string.
-_SETTING_PARSERS = {
-    "inputs": lambda v: tuple(parse_input_spec(s) for s in _items(v)),
-    "estimator": str.lower,
-    "window": int,
-    "step": int,
-    "ladder": lambda v: tuple(int(s) for s in v.split(",")),
-    "detrend_order": int,
-    "split_date": Date.fromisoformat,
-    "split_by": str,
-    "confidence_level": float,
-    "output_dir": Path,
-    "formats": lambda v: frozenset(_items(v)),
+# One entry per RunConfig field: how the field is read from its setting
+# string, then the metavar and help of its CLI flag (None: no flag).
+_SETTINGS = {
+    "inputs": (lambda v: tuple(parse_input_spec(s) for s in _items(v)), None, None),
+    "estimator": (str.lower, "dfa|rs", "Hurst estimator, case-insensitive [default: dfa]."),
+    "window": (int, "INT", "Sliding window length in datapoints [default: 500]."),
+    "step": (int, "INT", "Window advance in datapoints [default: 7]."),
+    "ladder": (lambda v: tuple(int(s) for s in v.split(",")), "INTS",
+               "Comma-separated block sizes [default: 4,8,16,32,64,128]."),
+    "detrend_order": (int, "INT", "DFA polynomial order [default: 1]."),
+    "split_date": (Date.fromisoformat, "DATE",
+                   "ISO date splitting the subsamples [default: 2008-09-15]."),
+    "split_by": (str, "start|end", "Classify windows by start or end date [default: start]."),
+    "confidence_level": (float, "FLOAT", "One-sided t confidence level, in (0.5, 1), "
+                         "for the bounds [default: 0.999]."),
+    "output_dir": (Path, "PATH", "Directory for report files [default: .]."),
+    "formats": (lambda v: frozenset(_items(v)), "LIST",
+                "Comma-separated subset of json,csv [default: json,csv]."),
 }
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     """A RunConfig from flat string settings (config file fields or flags)."""
-    unknown = set(mapping) - _SETTING_PARSERS.keys()
+    unknown = set(mapping) - _SETTINGS.keys()
     if unknown:
         raise PipelineError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
     for key, value in mapping.items():
         try:
-            kwargs[key] = _SETTING_PARSERS[key](value)
+            kwargs[key] = _SETTINGS[key][0](value)
         except ValueError as exc:
             raise PipelineError(f"bad setting {key} = {value!r}: {exc}") from exc
     return RunConfig(**kwargs)

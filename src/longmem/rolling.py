@@ -52,6 +52,10 @@ class RollingProtocol:
             )
         if self.detrend_order < 1:
             raise ValueError("detrend_order must be >= 1")
+        smallest = self.ladder.sizes[0]
+        if self.estimator == METHOD_DFA and smallest < self.detrend_order + 2:
+            raise ValueError(
+                f"block size {smallest} too small for an order-{self.detrend_order} fit")
 
     def estimate(self, values: np.ndarray) -> HurstEstimate:
         if self.estimator == METHOD_DFA:

@@ -38,8 +38,6 @@ RANDOM_WALK_H = 0.5
 # Largest pooled size for which the exact Mann-Whitney distribution is used.
 EXACT_LIMIT = 16
 
-_ALTERNATIVES = ("two-sided", "less", "greater")
-
 
 def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -87,38 +85,23 @@ def _exact_u_counts(n1: int, n2: int) -> np.ndarray:
     return table[n1, min_sum : min_sum + n1 * n2 + 1].copy()
 
 
-def _exact_p(n1: int, n2: int, u1: float, alternative: str) -> float:
+def _exact_p(n1: int, n2: int, u1: float) -> float:
     counts = _exact_u_counts(n1, n2)
-    total = counts.sum()
     u = int(round(u1))  # integer when the pooled sample is tie-free
-    if alternative == "two-sided":
-        u_min = min(u, n1 * n2 - u)
-        u_max = n1 * n2 - u_min
-        p = (counts[: u_min + 1].sum() + counts[u_max:].sum()) / total
-    elif alternative == "greater":
-        p = counts[u:].sum() / total
-    else:
-        p = counts[: u + 1].sum() / total
+    u_min = min(u, n1 * n2 - u)
+    u_max = n1 * n2 - u_min
+    p = (counts[: u_min + 1].sum() + counts[u_max:].sum()) / counts.sum()
     return min(1.0, float(p))
 
 
-def mann_whitney(
-    a: Sequence[float],
-    b: Sequence[float],
-    *,
-    alternative: str = "two-sided",
-    exact_limit: int = EXACT_LIMIT,
-) -> MannWhitneyResult:
-    """Mann-Whitney U test of equal location between two independent samples.
+def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
+    """Two-sided Mann-Whitney U test of equal location of two independent samples.
 
     Ranks use midranks for ties. The p-value comes from exact enumeration of
-    the U distribution when the pooled size is at most ``exact_limit`` and
+    the U distribution when the pooled size is at most ``EXACT_LIMIT`` and
     there are no ties, otherwise from the normal approximation with
-    tie-corrected variance and continuity correction. ``alternative`` of
-    "greater" means the first sample is shifted upward.
+    tie-corrected variance and continuity correction.
     """
-    if alternative not in _ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     n1, n2 = x.size, y.size
@@ -131,8 +114,8 @@ def mann_whitney(
     u2 = n1 * n2 - u1
 
     _, tie_counts = np.unique(pooled, return_counts=True)
-    if n1 + n2 <= exact_limit and tie_counts.size == pooled.size:
-        p = _exact_p(n1, n2, u1, alternative)
+    if n1 + n2 <= EXACT_LIMIT and tie_counts.size == pooled.size:
+        p = _exact_p(n1, n2, u1)
         return MannWhitneyResult(u1, u2, r1, p, "exact")
 
     n = n1 + n2
@@ -141,15 +124,8 @@ def mann_whitney(
     if sigma2 <= 0:
         # every pooled observation identical: no information against the null
         return MannWhitneyResult(u1, u2, r1, 1.0, "normal")
-    sigma = math.sqrt(sigma2)
-    mu = n1 * n2 / 2.0
-    if alternative == "two-sided":
-        z = (max(u1, u2) - mu - 0.5) / sigma
-        p = min(1.0, 2.0 * _norm_sf(z))
-    elif alternative == "greater":
-        p = _norm_sf((u1 - mu - 0.5) / sigma)
-    else:
-        p = _norm_sf((u2 - mu - 0.5) / sigma)
+    z = (max(u1, u2) - n1 * n2 / 2.0 - 0.5) / math.sqrt(sigma2)
+    p = min(1.0, 2.0 * _norm_sf(z))
     return MannWhitneyResult(u1, u2, r1, p, "normal")
 
 
@@ -164,23 +140,15 @@ class LeveneResult:
     df_den: int
 
 
-def levene(
-    a: Sequence[float], b: Sequence[float], *, center: str = "mean"
-) -> LeveneResult:
-    """Levene test of equal variances via one-way ANOVA on absolute deviations.
-
-    ``center`` picks the classic mean-centered deviations or the
-    Brown-Forsythe median-centered variant.
-    """
-    if center not in ("mean", "median"):
-        raise ValueError("center must be 'mean' or 'median'")
+def levene(a: Sequence[float], b: Sequence[float]) -> LeveneResult:
+    """Levene test of equal variances via one-way ANOVA on the absolute
+    deviations from each sample's mean."""
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.size < 2 or y.size < 2:
         raise ValueError("Levene needs at least 2 observations per sample")
-    locate = np.mean if center == "mean" else np.median
-    zx = np.abs(x - locate(x))
-    zy = np.abs(y - locate(y))
+    zx = np.abs(x - x.mean())
+    zy = np.abs(y - y.mean())
     n1, n2 = x.size, y.size
     zx_bar, zy_bar = float(zx.mean()), float(zy.mean())
     grand = (n1 * zx_bar + n2 * zy_bar) / (n1 + n2)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import longmem
 from longmem.cli import main
 from longmem.pipeline import (
+    _SETTINGS,
     PipelineError,
     RunConfig,
     config_from_mapping,
@@ -30,6 +31,9 @@ from longmem.pipeline import (
 from longmem.rolling import window_offsets
 from longmem.series import PriceSeries, log_returns
 from longmem.synth import FgnSpec, generate_fgn
+
+
+DEFAULT_NOTE = re.compile(r"\[default: (.*)\]\.?$")
 
 
 def load_schema(name):
@@ -237,6 +241,13 @@ class TestRunConfig:
         assert cfg.split_date == date(2010, 5, 1)
         assert cfg.formats == {"json"}
 
+    @pytest.mark.parametrize("key", [
+        key for key, (_, _, text) in _SETTINGS.items() if text and DEFAULT_NOTE.search(text)
+    ])
+    def test_flag_help_default_is_the_run_config_default(self, key):
+        default = DEFAULT_NOTE.search(_SETTINGS[key][2]).group(1)
+        assert getattr(config_from_mapping({key: default}), key) == getattr(RunConfig(), key)
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(PipelineError, match="unknown config keys"):
             config_from_mapping({"windw": "12"})
@@ -437,19 +448,51 @@ class TestCli:
             for name in ("serie_stats.json", "serie_report.json", "serie_rolling.csv")
         ]
 
+    # one bad value for each setting `run` takes, and the start of its error
+    BAD_SETTINGS = {
+        "estimator": ("wavelet", "error: unknown estimator 'wavelet'"),
+        "window": ("abc", "error: bad setting window = 'abc': "),
+        "step": ("0", "error: step must be >= 1"),
+        "ladder": ("4,8,x", "error: bad setting ladder = '4,8,x': "),
+        "detrend_order": ("1.5", "error: bad setting detrend_order = '1.5': "),
+        "split_date": ("2008-13-01", "error: bad setting split_date = '2008-13-01': "),
+        "split_by": ("middle", "error: split_by must be 'start' or 'end'"),
+        "confidence_level": ("1.5", "error: confidence_level must lie in (0.5, 1)"),
+        "formats": ("xml", "error: unknown formats: ['xml']"),
+    }
+
+    @pytest.mark.parametrize("key", [
+        p.name for p in main.commands["run"].params
+        if p.name not in ("inputs", "config_file", "output_dir")
+    ])
     def test_bad_setting_exits_one_alike_from_flag_and_config_file(
-        self, tmp_path, synth_file
+        self, tmp_path, synth_file, key
     ):
+        value, message = self.BAD_SETTINGS[key]
         cfg_file = tmp_path / "cfg"
-        cfg_file.write_text("window = abc\n")
+        cfg_file.write_text(f"{key} = {value}\n")
         out = tmp_path / "o"
-        by_flag = self.invoke("run", str(synth_file), "--window", "abc", "--output-dir", str(out))
+        by_flag = self.invoke("run", str(synth_file), "--" + key.replace("_", "-"), value,
+                              "--output-dir", str(out))
         by_file = self.invoke("run", str(synth_file), "--config", str(cfg_file),
                               "--output-dir", str(out))
         assert by_flag.exit_code == by_file.exit_code == 1
         assert by_flag.stderr == by_file.stderr
-        assert by_flag.stderr.startswith("error: bad setting window = 'abc': ")
+        assert by_flag.stderr.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "hurst"])
+    def test_detrend_order_too_high_for_ladder_exits_one(self, tmp_path, synth_file, command):
+        out = tmp_path / "o"
+        extra = ["--output-dir", str(out)] if command == "run" else []
+        res = self.invoke(command, str(synth_file), "--detrend-order", "3", *extra)
+        assert res.exit_code == 1
+        assert res.stderr == "error: block size 4 too small for an order-3 fit\n"
+        assert not out.exists()
+        # R/S has no detrending, and a ladder from 8 leaves room for order 3
+        for flags in (["--estimator", "rs"], ["--ladder", "8,16,32"]):
+            res = self.invoke(command, str(synth_file), "--detrend-order", "3", *flags, *extra)
+            assert res.exit_code == 0, res.output
 
     def test_estimator_flag_is_case_insensitive(self, synth_file):
         upper = self.invoke("hurst", str(synth_file), "--estimator", "DFA")

@@ -45,6 +45,13 @@ class TestProtocol:
         with pytest.raises(ValueError, match="estimator"):
             RollingProtocol(window=40, step=1, estimator="wavelet", ladder=SMALL_LADDER)
 
+    def test_dfa_ladder_must_leave_room_for_the_detrend_order(self):
+        with pytest.raises(ValueError, match="^block size 4 too small for an order-3 fit$"):
+            RollingProtocol(window=40, step=1, ladder=SMALL_LADDER, detrend_order=3)
+        RollingProtocol(window=40, step=1, ladder=SMALL_LADDER, detrend_order=2)
+        RollingProtocol(window=40, step=1, estimator="rs", ladder=SMALL_LADDER,
+                        detrend_order=3)
+
     def test_defaults_are_reference_protocol(self):
         proto = RollingProtocol()
         assert proto.window == 500

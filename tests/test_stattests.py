@@ -96,18 +96,6 @@ class TestMannWhitney:
             assert res.method == "exact"
             assert res.p == pytest.approx(mw_exact_oracle(a, b), abs=1e-12)
 
-    def test_one_sided_exact_against_enumeration(self):
-        a, b = [1.0, 4.0, 7.0], [2.0, 3.0, 9.0]
-        res_g = mann_whitney(a, b, alternative="greater")
-        # P(U >= u_obs) by enumeration
-        u_obs = res_g.u1
-        hits = total = 0
-        for combo in itertools.combinations(range(1, 7), 3):
-            u = sum(combo) - 6
-            total += 1
-            hits += u >= u_obs
-        assert res_g.p == pytest.approx(hits / total, abs=1e-12)
-
     def test_normal_path_matches_scipy(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal(30)
@@ -141,17 +129,6 @@ class TestMannWhitney:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             mann_whitney([], [1.0])
-
-    def test_normal_approximates_exact_at_n8(self):
-        rng = np.random.default_rng(31)
-        worst = 0.0
-        for _ in range(100):
-            pool = rng.permutation(1000)[:16].astype(float)
-            a, b = pool[:8], pool[8:]
-            exact = mann_whitney(a, b).p
-            approx = mann_whitney(a, b, exact_limit=0).p
-            worst = max(worst, abs(exact - approx))
-        assert worst <= 0.02
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -196,15 +173,6 @@ class TestLevene:
         b = rng.standard_normal(35) * 2.5
         res = levene(a, b)
         ref = scipy_stats.levene(a, b, center="mean")
-        assert res.w == pytest.approx(float(ref.statistic), rel=1e-10)
-        assert res.p == pytest.approx(float(ref.pvalue), rel=1e-10)
-
-    def test_matches_scipy_median_center(self):
-        rng = np.random.default_rng(41)
-        a = rng.standard_normal(21)
-        b = rng.standard_normal(18) * 0.5
-        res = levene(a, b, center="median")
-        ref = scipy_stats.levene(a, b, center="median")
         assert res.w == pytest.approx(float(ref.statistic), rel=1e-10)
         assert res.p == pytest.approx(float(ref.pvalue), rel=1e-10)
 
