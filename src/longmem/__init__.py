@@ -18,7 +18,6 @@ from .rolling import (
     RollingResult,
     rolling_hurst,
     split_at,
-    window_count,
 )
 from .series import (
     DescriptiveStats,
@@ -58,7 +57,6 @@ __all__ = [
     "RollingResult",
     "rolling_hurst",
     "split_at",
-    "window_count",
     "DescriptiveStats",
     "PriceSeries",
     "ReturnSeries",

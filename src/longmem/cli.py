@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -87,7 +87,7 @@ def describe_cmd(ctx: click.Context, inputs) -> None:
     def show(prices) -> None:
         stats = describe_values(log_returns(prices).values)
         click.echo(f"{prices.id}:")
-        for key, value in stats.to_dict().items():
+        for key, value in asdict(stats).items():
             click.echo(f"  {key}: {value}")
 
     ctx.exit(run_each(_build_config(inputs).inputs, show))
@@ -140,7 +140,8 @@ def test_cmd(ctx, inputs, **flags):
         n_before, n_after = analysis.counts
         mw, lev = report.mann_whitney, report.levene
         click.echo(f"{prices.id}: n_before={n_before} n_after={n_after}")
-        click.echo(f"  mean before/after: {report.mean_before:.4f} / {report.mean_after:.4f}")
+        before, after = report.bounds["before"].mean, report.bounds["after"].mean
+        click.echo(f"  mean before/after: {before:.4f} / {after:.4f}")
         click.echo(f"  mann-whitney: u1={mw.u1:.1f} u2={mw.u2:.1f} p={mw.p:.4g} ({mw.method})")
         w_str = "undefined" if lev.w is None else f"{lev.w:.4f}"
         p_str = "undefined" if lev.p is None else f"{lev.p:.4g}"
@@ -164,7 +165,11 @@ def test_cmd(ctx, inputs, **flags):
 @click.option("--seed", type=int, default=0, show_default=True, help="Generator seed.")
 def synth_cmd(output, hurst_h, n, sigma, seed) -> None:
     """Write a synthetic fGn-derived price CSV for pipeline validation."""
-    path = emit_synth(FgnSpec(h=hurst_h, n=n, sigma=sigma, seed=seed), output)
+    try:
+        spec = FgnSpec(h=hurst_h, n=n, sigma=sigma, seed=seed)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from exc
+    path = emit_synth(spec, output)
     click.echo(f"wrote {path}")
 
 

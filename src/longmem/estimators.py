@@ -32,6 +32,10 @@ DEFAULT_LADDER_SIZES = (4, 8, 16, 32, 64, 128)
 METHOD_DFA = "dfa"
 METHOD_RS = "rs"
 
+# Values spanning at most this fraction of their largest magnitude are flat:
+# what varies is rounding, as in a price that compounds at a fixed rate.
+FLAT_SPREAD = 1e-9
+
 
 @dataclass(frozen=True)
 class BlockLadder:
@@ -149,13 +153,17 @@ def _ladder_estimate(x: Sequence[float], ladder: BlockLadder | None, method: str
                      statistic: Callable[[np.ndarray, int], float],
                      detrend_order: int | None = None) -> HurstEstimate:
     """Fit the sizes of ``ladder`` (the default when None) whose statistic is
-    positive; a zero statistic has no logarithm. DFA works on the profile."""
+    positive; a zero statistic has no logarithm. A flat series keeps no size,
+    since its statistics measure rounding. DFA works on the profile."""
     ladder = BlockLadder.default() if ladder is None else ladder
     arr = np.asarray(x, dtype=float)
     ladder.check_series_length(arr.size)
-    if method == METHOD_DFA:
-        arr = dfa_profile(arr)
-    points = [(m, s) for m in ladder if (s := statistic(arr, m)) > 0]
+    lo, hi = float(arr.min()), float(arr.max())
+    points = []
+    if hi - lo > FLAT_SPREAD * max(-lo, hi):
+        if method == METHOD_DFA:
+            arr = dfa_profile(arr)
+        points = [(m, s) for m in ladder if (s := statistic(arr, m)) > 0]
     return estimate_from_points(points, method=method, ladder=ladder,
                                 detrend_order=detrend_order)
 

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
@@ -342,7 +342,6 @@ class SeriesAnalysis:
     ``report`` is None when a subsample has under two windows; ``note`` says why.
     """
 
-    n_returns: int
     returns_stats: DescriptiveStats
     rolling: RollingResult
     hurst_stats: DescriptiveStats
@@ -374,16 +373,15 @@ def analyse_series(prices: PriceSeries, config: RunConfig) -> SeriesAnalysis:
         note = f"split at {config.split_date.isoformat()} leaves the "\
                f"'{side}' subsample {held}; test battery skipped"
     else:
-        report = build_report(before, after, prices.id, level=config.confidence_level)
-    return SeriesAnalysis(len(returns), rets_stats, result, hurst_stats,
-                          counts, report, note)
+        report = build_report(before, after, level=config.confidence_level)
+    return SeriesAnalysis(rets_stats, result, hurst_stats, counts, report, note)
 
 
 def _stats_payload(label: str, config: RunConfig, analysis: SeriesAnalysis) -> dict:
     return {
         "label": label,
-        "returns": analysis.returns_stats.to_dict(),
-        "hurst": analysis.hurst_stats.to_dict(),
+        "returns": asdict(analysis.returns_stats),
+        "hurst": asdict(analysis.hurst_stats),
         "protocol": config.protocol_dict(),
         "window_count": analysis.rolling.h.size,
         "window_count_rule": WINDOW_COUNT_RULE,
@@ -400,9 +398,7 @@ def _report_payload(label: str, config: RunConfig, analysis: SeriesAnalysis) -> 
         "counts": {"before": before, "after": after},
     }
     if analysis.report is not None:
-        body = analysis.report.to_dict()
-        body.pop("label")
-        payload["tests"] = body
+        payload["tests"] = analysis.report.to_dict()
     else:
         payload["tests"] = None
         payload["note"] = analysis.note
@@ -427,7 +423,7 @@ def process_series(prices: PriceSeries, config: RunConfig) -> list[Path]:
         written.append(report_path)
     if "csv" in config.formats:
         rolling_path = out / f"{prices.id}_rolling.csv"
-        _atomic_write(rolling_path, _rolling_csv(analysis.rolling, analysis.n_returns))
+        _atomic_write(rolling_path, _rolling_csv(analysis.rolling, analysis.returns_stats.n))
         written.append(rolling_path)
     return written
 

@@ -21,7 +21,6 @@ from .series import ReturnSeries
 __all__ = [
     "RollingProtocol",
     "RollingResult",
-    "window_count",
     "window_offsets",
     "rolling_hurst",
     "split_at",
@@ -81,13 +80,9 @@ class RollingResult:
         self.h.flags.writeable = self.r_squared.flags.writeable = False
 
 
-def window_count(n: int, window: int, step: int) -> int:
-    """Number of complete windows: floor((n - window) / step) + 1."""
-    return len(window_offsets(n, window, step))
-
-
 def window_offsets(n: int, window: int, step: int) -> range:
-    """Start offsets 0, step, 2*step, ... of every complete window."""
+    """Start offsets 0, step, 2*step, ... of every complete window; there are
+    floor((n - window) / step) + 1 of them."""
     if n < window:
         raise ValueError(f"series of length {n} is shorter than window {window}")
     return range(0, n - window + 1, step)

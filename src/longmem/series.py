@@ -8,9 +8,9 @@ kurtosis, so a normal sample has kurtosis near 3.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import date as Date
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,13 +58,6 @@ class PriceSeries:
                 raise ValueError(f"non-finite price {p} at {d.isoformat()}")
             if p <= 0:
                 raise ValueError(f"non-positive price {p} at {d.isoformat()}")
-
-    @classmethod
-    def from_observations(
-        cls, id: str, observations: Iterable[tuple[Date, float]]
-    ) -> "PriceSeries":
-        obs = list(observations)
-        return cls(id, tuple(d for d, _ in obs), tuple(float(p) for _, p in obs))
 
     @property
     def values(self) -> np.ndarray:
@@ -142,32 +135,25 @@ class DescriptiveStats:
             if abs(self.jarque_bera - expected) > 1e-9 * max(1.0, abs(expected)):
                 raise ValueError("jarque_bera inconsistent with stored moments")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def describe(values) -> DescriptiveStats:
-    """Descriptive statistics of a sample (a ReturnSeries or any float sequence).
+def describe(values: Sequence[float]) -> DescriptiveStats:
+    """Descriptive statistics of a float sequence (pass a series' ``.values``).
 
     Uses population (1/n) moments and non-excess kurtosis. A constant sample
     yields std_dev 0 with the higher moments reported as None. Requires at
     least 4 observations so the fourth moment is meaningful.
     """
-    if isinstance(values, ReturnSeries):
-        x = values.values
-    else:
-        x = np.asarray(values, dtype=float)
+    x = np.asarray(values, dtype=float)
     n = x.size
     if n < 4:
         raise ValueError(f"need at least 4 observations to describe, got {n}")
     mean = float(x.mean())
     median = float(np.median(x))
     lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        return DescriptiveStats(n, mean, median, lo, hi, 0.0, None, None, None)
     dev = x - mean
     m2 = float(np.mean(dev**2))
-    if m2 == 0.0:  # non-constant but deviations underflow squaring
+    # constant, or non-constant with deviations that underflow squaring
+    if lo == hi or m2 == 0.0:
         return DescriptiveStats(n, mean, median, lo, hi, 0.0, None, None, None)
     std = math.sqrt(m2)
     z = dev / std  # standardize first so tiny variances cannot underflow

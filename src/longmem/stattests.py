@@ -217,9 +217,6 @@ class SubsampleBounds:
     upper: float
     inefficient: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def bounds_from_moments(
     mean: float, sd: float, n: int, level: float = 0.999
@@ -234,12 +231,7 @@ def bounds_from_moments(
 class TestReport:
     """Before/after subsample statistics and test outcomes for one series."""
 
-    label: str
     confidence_level: float
-    mean_before: float
-    mean_after: float
-    sd_before: float
-    sd_after: float
     mann_whitney: MannWhitneyResult
     levene: LeveneResult
     bounds: dict[str, SubsampleBounds]  # keys: whole, before, after
@@ -254,20 +246,15 @@ class TestReport:
                 raise ValueError(f"{key}: bounds not symmetric about the mean")
 
     def to_dict(self) -> dict:
+        sides, w = ("before", "after"), self.levene.w
         return {
-            "label": self.label,
             "confidence_level": self.confidence_level,
-            "mean": {"before": self.mean_before, "after": self.mean_after},
-            "std_dev": {"before": self.sd_before, "after": self.sd_after},
+            "mean": {k: self.bounds[k].mean for k in sides},
+            "std_dev": {k: self.bounds[k].sd for k in sides},
             "mann_whitney": asdict(self.mann_whitney),
-            "levene": {
-                "w": None if self.levene.w is None or math.isinf(self.levene.w)
-                else self.levene.w,
-                "p": self.levene.p,
-                "df_num": self.levene.df_num,
-                "df_den": self.levene.df_den,
-            },
-            "bounds": {k: b.to_dict() for k, b in self.bounds.items()},
+            # JSON has no infinity: a Levene w of inf is written as null
+            "levene": {**asdict(self.levene), "w": None if w is None or math.isinf(w) else w},
+            "bounds": {k: asdict(b) for k, b in self.bounds.items()},
         }
 
 
@@ -278,7 +265,6 @@ def _population_sd(x: np.ndarray) -> float:
 def build_report(
     before: Sequence[float],
     after: Sequence[float],
-    label: str,
     *,
     level: float = 0.999,
 ) -> TestReport:
@@ -291,23 +277,7 @@ def build_report(
     y = np.asarray(after, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("both subsamples must be non-empty")
-    whole = np.concatenate([x, y])
-    bounds = {
-        "whole": bounds_from_moments(float(whole.mean()), _population_sd(whole),
-                                     whole.size, level),
-        "before": bounds_from_moments(float(x.mean()), _population_sd(x),
-                                      x.size, level),
-        "after": bounds_from_moments(float(y.mean()), _population_sd(y),
-                                     y.size, level),
-    }
-    return TestReport(
-        label=label,
-        confidence_level=level,
-        mean_before=float(x.mean()),
-        mean_after=float(y.mean()),
-        sd_before=_population_sd(x),
-        sd_after=_population_sd(y),
-        mann_whitney=mann_whitney(x, y),
-        levene=levene(x, y),
-        bounds=bounds,
-    )
+    samples = {"whole": np.concatenate([x, y]), "before": x, "after": y}
+    bounds = {key: bounds_from_moments(float(v.mean()), _population_sd(v), v.size, level)
+              for key, v in samples.items()}
+    return TestReport(level, mann_whitney(x, y), levene(x, y), bounds)

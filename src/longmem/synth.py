@@ -45,8 +45,8 @@ class FgnSpec:
             raise ValueError(f"hurst exponent must lie strictly in (0, 1), got {self.h}")
         if self.n < 2:
             raise ValueError("need n >= 2")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:  # a nan or inf scale writes nan prices
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 def fgn_autocovariance(h: float, lags: Sequence[int], sigma: float = 1.0) -> np.ndarray:

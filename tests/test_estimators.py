@@ -288,6 +288,25 @@ class TestDropRule:
             "insufficient scaling points: only 0 of 6 ladder sizes have a positive statistic"
         )
 
+    @pytest.mark.parametrize("estimate", [hurst_dfa, hurst_rs])
+    def test_fixed_rate_returns_keep_no_size(self, estimate):
+        # returns of a price compounding at a fixed rate vary only by rounding
+        prices = 100.0 * 1.0002 ** np.arange(1300)
+        returns = np.log(prices[1:] / prices[:-1]) * 100.0
+        assert returns.max() > returns.min()
+        with pytest.raises(ValueError) as info:
+            estimate(returns, PAPER_LADDER)
+        assert str(info.value) == (
+            "insufficient scaling points: only 0 of 6 ladder sizes have a positive statistic"
+        )
+
+    @pytest.mark.parametrize("estimate", [hurst_dfa, hurst_rs])
+    def test_flat_rule_is_relative_to_scale(self, estimate):
+        x = generate_gaussian(1024, seed=5)
+        tiny, unit = estimate(1e-12 * x, PAPER_LADDER), estimate(x, PAPER_LADDER)
+        assert len(tiny.points) == 6
+        assert tiny.h == pytest.approx(unit.h, abs=1e-9)
+
     def test_rs_drops_size_whose_blocks_are_all_constant(self):
         # every 4-block repeats one value; 8-blocks and longer span two values
         x = np.repeat(np.random.default_rng(2).standard_normal(32), 4)

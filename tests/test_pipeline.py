@@ -1,10 +1,12 @@
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
-from datetime import date
+from datetime import date, timedelta
 from importlib import resources
 from pathlib import Path
 
@@ -551,6 +553,21 @@ class TestCli:
             r"insufficient scaling points: only 0 of 6 ladder sizes have a positive statistic\n",
             res.stderr)
 
+    @pytest.mark.parametrize("estimator", ["dfa", "rs"])
+    def test_fixed_rate_prices_have_no_hurst_exponent(self, tmp_path, estimator):
+        # log returns of a price compounding at a fixed rate vary only by rounding
+        start = date(2000, 1, 3)
+        path = write_prices(tmp_path / "fixed.csv", [
+            f"{start + timedelta(days=t)},{100.0 * 1.0002**t!r}" for t in range(1300)])
+        cause = "insufficient scaling points: only 0 of 6 ladder sizes have a positive statistic"
+        res = self.invoke("hurst", str(path), "--estimator", estimator)
+        assert res.exit_code == 2
+        assert res.stderr == f"error: fixed: {cause}\n"
+        res = self.invoke("run", str(path), "--estimator", estimator,
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 2
+        assert res.stderr == f"error: fixed: window 1 (2000-01-04 to 2001-05-17): {cause}\n"
+
     def test_describe_command(self, synth_file):
         res = self.invoke("describe", str(synth_file))
         assert res.exit_code == 0
@@ -655,6 +672,21 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert out.exists()
 
+    @pytest.mark.parametrize("flags, cause", [
+        (("--h", "1.5", "--n", "100"), "hurst exponent must lie strictly in (0, 1), got 1.5"),
+        (("--h", "0.5", "--n", "1"), "need n >= 2"),
+        (("--h", "0.5", "--n", "100", "--sigma", "-1"),
+         "sigma must be positive and finite, got -1.0"),
+        (("--h", "0.5", "--n", "100", "--sigma", "nan"), "sigma must be positive and finite, got nan"),
+    ])
+    def test_synth_bad_parameter_exits_one(self, tmp_path, flags, cause):
+        out = tmp_path / "gen.csv"
+        res = self.invoke("synth", str(out), *flags)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == f"error: {cause}\n"
+        assert not out.exists()
+
     def test_invalid_ladder_flag(self, synth_file):
         res = self.invoke("run", str(synth_file), "--ladder", "4,8,x")
         assert res.exit_code != 0
@@ -689,3 +721,12 @@ class TestCli:
         assert stats["protocol"]["window"] == 1024
         assert stats["protocol"]["step"] == 7
         assert stats["window_count"] == (1300 - 1024) // 7 + 1
+
+
+@pytest.mark.parametrize("module", ["longmem"] + [
+    f"longmem.{m.name}" for m in pkgutil.iter_modules(longmem.__path__)])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", ())
+    assert module == "longmem.cli" or names
+    assert [name for name in names if not hasattr(mod, name)] == []

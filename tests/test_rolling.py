@@ -12,7 +12,6 @@ from longmem.rolling import (
     RollingProtocol,
     rolling_hurst,
     split_at,
-    window_count,
     window_offsets,
 )
 from longmem.series import ReturnSeries
@@ -64,14 +63,14 @@ class TestProtocol:
 class TestWindowCount:
     def test_reference_shape(self):
         # 4203 returns, window 500, step 7: floor(3703/7) + 1 = 530
-        assert window_count(4203, 500, 7) == 530
+        assert len(window_offsets(4203, 500, 7)) == 530
 
     def test_exact_fit_single_window(self):
-        assert window_count(500, 500, 7) == 1
+        assert len(window_offsets(500, 500, 7)) == 1
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="shorter than window"):
-            window_count(499, 500, 7)
+            len(window_offsets(499, 500, 7))
 
     @given(
         n=st.integers(min_value=1, max_value=100_000),

@@ -46,13 +46,6 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="not strictly increasing"):
             PriceSeries("x", (d, d), (1.0, 2.0))
 
-    def test_from_observations(self):
-        ps = PriceSeries.from_observations(
-            "x", [(date(2020, 1, 1), 1.0), (date(2020, 1, 2), 2.0)]
-        )
-        assert ps.prices == (1.0, 2.0)
-        assert len(ps) == 2
-
 
 class TestLogReturns:
     def test_flat_prices_zero_return(self):
@@ -121,7 +114,7 @@ class TestDescribe:
 
     def test_accepts_return_series(self):
         rs = log_returns(make_prices([1.0, 2.0, 4.0, 8.0, 16.0]))
-        stats = describe(rs)
+        stats = describe(rs.values)
         assert stats.n == 4
         assert stats.std_dev == pytest.approx(0.0, abs=1e-9)
 

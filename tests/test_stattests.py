@@ -272,7 +272,7 @@ class TestTBounds:
 class TestBuildReport:
     def test_identical_subsamples(self):
         sample = list(np.linspace(0.4, 0.6, 20))
-        report = build_report(sample, sample, "xx")
+        report = build_report(sample, sample)
         assert report.mann_whitney.p == pytest.approx(1.0, abs=1e-12)
         assert report.levene.w == pytest.approx(0.0, abs=1e-12)
 
@@ -297,23 +297,30 @@ class TestBuildReport:
         rng = np.random.default_rng(47)
         before = rng.normal(0.55, 0.05, 60)
         after = rng.normal(0.45, 0.04, 40)
-        report = build_report(before, after, "serieslabel", level=0.99)
-        assert report.label == "serieslabel"
+        report = build_report(before, after, level=0.99)
         assert set(report.bounds) == {"whole", "before", "after"}
         assert report.bounds["whole"].n == 100
-        assert report.mean_before == pytest.approx(before.mean())
-        assert report.sd_after == pytest.approx(np.std(after))
+        assert report.bounds["before"].mean == pytest.approx(before.mean())
+        assert report.bounds["after"].sd == pytest.approx(np.std(after))
         for b in report.bounds.values():
             assert b.lower <= b.mean <= b.upper
             assert b.std_error == pytest.approx(b.sd / math.sqrt(b.n), abs=1e-15)
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            build_report([], [1.0, 2.0], "x")
+            build_report([], [1.0, 2.0])
 
     def test_to_dict_round_trip_values(self):
-        report = build_report([0.5, 0.52, 0.48, 0.51], [0.44, 0.47, 0.42], "lbl")
+        report = build_report([0.5, 0.52, 0.48, 0.51], [0.44, 0.47, 0.42])
         d = report.to_dict()
-        assert d["label"] == "lbl"
+        for side in ("before", "after"):
+            assert d["mean"][side] == report.bounds[side].mean
+            assert d["std_dev"][side] == report.bounds[side].sd
         assert d["mann_whitney"]["u1"] == report.mann_whitney.u1
         assert d["bounds"]["before"]["n"] == 4
+
+    def test_to_dict_writes_infinite_levene_w_as_null(self):
+        report = build_report([0.0, 2.0], [0.0, 20.0])
+        assert report.levene.w == math.inf
+        d = report.to_dict()
+        assert d["levene"] == {"w": None, "p": 0.0, "df_num": 1, "df_den": 2}

@@ -65,6 +65,11 @@ class TestFgnSpec:
         with pytest.raises(ValueError, match="sigma"):
             FgnSpec(h=0.5, n=10, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be positive and finite, got "):
+            FgnSpec(h=0.5, n=10, sigma=sigma)
+
 
 class TestGenerateFgn:
     def test_deterministic_given_seed(self):
