@@ -3,14 +3,16 @@
 One input file yields three outputs in the configured directory:
 ``<label>_stats.json`` (descriptive statistics of the returns and of the
 rolling Hurst estimates), ``<label>_rolling.csv`` (the per-window estimates),
-and ``<label>_report.json`` (the before/after test battery). Files are
-written atomically and runs are byte-for-byte deterministic.
+and ``<label>_report.json`` (the before/after test battery). A series'
+files are written whole before any replaces its predecessor, and runs are
+byte-for-byte deterministic.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -215,74 +217,77 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     # reported with the row they are on
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode()
-                except UnicodeEncodeError as exc:
-                    byte = ord(raw[exc.start]) - 0xDC00
-                    raise ValueError(f"{path}: row {lineno}: not UTF-8 (byte 0x{byte:02x} "
-                                     f"at column {exc.start + 1})") from None
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
             try:
+                if not raw.isascii():
+                    try:
+                        raw.encode()
+                    except UnicodeEncodeError as exc:
+                        byte = ord(raw[exc.start]) - 0xDC00
+                        raise ValueError(f"not UTF-8 (byte 0x{byte:02x} "
+                                         f"at column {exc.start + 1})") from None
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
                 cells = next(csv.reader([raw]))
-            except csv.Error as exc:
+                if not width:
+                    columns = [c.strip().lower() for c in cells]
+                    if "date" not in columns or "price" not in columns:
+                        raise ValueError("header must name 'date' and 'price' columns")
+                    date_idx, price_idx = columns.index("date"), columns.index("price")
+                    width = max(date_idx, price_idx) + 1
+                    continue
+                if len(cells) < width:
+                    raise ValueError(f"expected at least {width} columns")
+                try:
+                    d = Date.fromisoformat(cells[date_idx].strip())
+                except ValueError as exc:
+                    raise ValueError(f"unparsable date {cells[date_idx]!r}") from exc
+                raw_price = cells[price_idx].strip()
+                if raw_price == "":
+                    raise ValueError("blank price")
+                try:
+                    p = float(raw_price)
+                except ValueError as exc:
+                    raise ValueError(f"unparsable price {raw_price!r}") from exc
+                if not math.isfinite(p):
+                    raise ValueError(f"non-finite price {raw_price}")
+                if p <= 0:
+                    raise ValueError(f"non-positive price {raw_price}")
+                if dates and d == dates[-1]:
+                    raise ValueError(f"duplicate date {d.isoformat()}")
+                if dates and d < dates[-1]:
+                    raise ValueError(f"dates not increasing ({d.isoformat()} "
+                                     f"after {dates[-1].isoformat()})")
+            except (ValueError, csv.Error) as exc:
                 raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-            if not width:
-                columns = [c.strip().lower() for c in cells]
-                if "date" not in columns or "price" not in columns:
-                    raise ValueError(
-                        f"{path}: row {lineno}: header must name 'date' and 'price' columns"
-                    )
-                date_idx, price_idx = columns.index("date"), columns.index("price")
-                width = max(date_idx, price_idx) + 1
-                continue
-            if len(cells) < width:
-                raise ValueError(f"{path}: row {lineno}: expected at least {width} columns")
-            try:
-                d = Date.fromisoformat(cells[date_idx].strip())
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: row {lineno}: unparsable date {cells[date_idx]!r}"
-                ) from exc
-            raw_price = cells[price_idx].strip()
-            if raw_price == "":
-                raise ValueError(f"{path}: row {lineno}: blank price")
-            try:
-                p = float(raw_price)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: row {lineno}: unparsable price {raw_price!r}"
-                ) from exc
-            if not np.isfinite(p):
-                raise ValueError(f"{path}: row {lineno}: non-finite price {raw_price}")
-            if p <= 0:
-                raise ValueError(f"{path}: row {lineno}: non-positive price {raw_price}")
-            if dates:
-                if d == dates[-1]:
-                    raise ValueError(f"{path}: row {lineno}: duplicate date {d.isoformat()}")
-                if d < dates[-1]:
-                    raise ValueError(
-                        f"{path}: row {lineno}: dates not increasing ({d.isoformat()} "
-                        f"after {dates[-1].isoformat()})"
-                    )
             dates.append(d)
             prices.append(p)
     if not width:
         raise ValueError(f"{path}: no data rows")
-    return PriceSeries(label, tuple(dates), tuple(prices))
+    return PriceSeries(label, tuple(dates), prices)
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _write_files(files: dict[Path, str]) -> None:
+    """Write every file whole to a temporary sibling, then move each into place.
+
+    A temporary file is created with mode 0o666, so the umask applies as for a
+    plain ``open``. A failure while writing leaves the previous files untouched
+    and no temporary file behind.
+    """
+    tmps: list[str] = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(data)
+        for tmp, path in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -308,7 +313,7 @@ def emit_synth(spec: FgnSpec, path: Path | str) -> Path:
         day = SYNTH_EPOCH + timedelta(days=i)
         lines.append(f"{day.isoformat()},{float(p)!r}")
     try:
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _write_files({path: "\n".join(lines) + "\n"})
     except OSError as exc:
         raise PipelineError(f"cannot write {path}: {exc}") from exc
     return path
@@ -410,22 +415,18 @@ def _dump_json(payload: dict) -> str:
 
 
 def process_series(prices: PriceSeries, config: RunConfig) -> list[Path]:
-    """Analyse one ingested series and write its reports."""
-    out = Path(config.output_dir)
+    """Analyse one ingested series and write its reports as one set."""
+    out, label = Path(config.output_dir), prices.id
     analysis = analyse_series(prices, config)
-    written: list[Path] = []
+    files: dict[Path, str] = {}
     if "json" in config.formats:
-        stats_path = out / f"{prices.id}_stats.json"
-        _atomic_write(stats_path, _dump_json(_stats_payload(prices.id, config, analysis)))
-        written.append(stats_path)
-        report_path = out / f"{prices.id}_report.json"
-        _atomic_write(report_path, _dump_json(_report_payload(prices.id, config, analysis)))
-        written.append(report_path)
+        for kind, payload in (("stats", _stats_payload), ("report", _report_payload)):
+            files[out / f"{label}_{kind}.json"] = _dump_json(payload(label, config, analysis))
     if "csv" in config.formats:
-        rolling_path = out / f"{prices.id}_rolling.csv"
-        _atomic_write(rolling_path, _rolling_csv(analysis.rolling, analysis.returns_stats.n))
-        written.append(rolling_path)
-    return written
+        rolling = _rolling_csv(analysis.rolling, analysis.returns_stats.n)
+        files[out / f"{label}_rolling.csv"] = rolling
+    _write_files(files)
+    return list(files)
 
 
 def _check_output_dir(out: Path) -> None:

@@ -29,68 +29,66 @@ def jarque_bera(skewness: float, kurtosis: float, n: int) -> float:
     return n / 6.0 * (skewness**2 + (kurtosis - 3.0) ** 2 / 4.0)
 
 
-def _check_dates_increasing(dates: Sequence[Date]) -> None:
-    for prev, cur in zip(dates, dates[1:]):
-        if cur <= prev:
-            raise ValueError(f"dates not strictly increasing at {cur.isoformat()}")
+def _values_column(series: PriceSeries | ReturnSeries, name: str) -> np.ndarray:
+    """Make ``series.values`` a read-only float64 copy and check it against the
+    dates: one value per date, dates strictly increasing."""
+    column = np.array(series.values, dtype=float)
+    column.flags.writeable = False
+    object.__setattr__(series, "values", column)
+    dates = series.dates
+    if column.shape != (len(dates),):
+        raise ValueError(f"dates and {name} must have equal length")
+    later = next((cur for prev, cur in zip(dates, dates[1:]) if cur <= prev), None)
+    if later is not None:
+        raise ValueError(f"dates not strictly increasing at {later.isoformat()}")
+    return column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Ordered, dated price levels for one index.
 
     Invariants: dates strictly increasing, every price positive and finite,
-    at least two observations.
+    at least two observations. ``values`` becomes a read-only float64 array.
     """
 
     id: str
     dates: tuple[Date, ...]
-    prices: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.dates) != len(self.prices):
-            raise ValueError("dates and prices must have equal length")
-        if len(self.prices) < 2:
+        p = _values_column(self, "prices")
+        if p.size < 2:
             raise ValueError(f"price series '{self.id}' needs at least 2 observations")
-        _check_dates_increasing(self.dates)
-        for d, p in zip(self.dates, self.prices):
-            if not math.isfinite(p):
-                raise ValueError(f"non-finite price {p} at {d.isoformat()}")
-            if p <= 0:
-                raise ValueError(f"non-positive price {p} at {d.isoformat()}")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.prices, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(p) & (p > 0)))
+        if bad.size:
+            value, at = float(p[bad[0]]), self.dates[bad[0]].isoformat()
+            cause = "non-finite" if not math.isfinite(value) else "non-positive"
+            raise ValueError(f"{cause} price {value} at {at}")
 
     def __len__(self) -> int:
-        return len(self.prices)
+        return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Ordered, dated continuously compounded returns in percent."""
+    """Ordered, dated continuously compounded returns in percent, as a
+    read-only float64 ``values`` array."""
 
     id: str
     dates: tuple[Date, ...]
-    returns: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.dates) != len(self.returns):
-            raise ValueError("dates and returns must have equal length")
-        if not self.returns:
+        r = _values_column(self, "returns")
+        if not r.size:
             raise ValueError(f"return series '{self.id}' is empty")
-        _check_dates_increasing(self.dates)
-        for d, r in zip(self.dates, self.returns):
-            if not math.isfinite(r):
-                raise ValueError(f"non-finite return at {d.isoformat()}")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.returns, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(r))
+        if bad.size:
+            raise ValueError(f"non-finite return at {self.dates[bad[0]].isoformat()}")
 
     def __len__(self) -> int:
-        return len(self.returns)
+        return self.values.size
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:
@@ -99,8 +97,7 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     r[t+1] = ln(p[t+1] / p[t]) * 100
     """
     p = prices.values
-    rets = np.log(p[1:] / p[:-1]) * 100.0
-    return ReturnSeries(prices.id, prices.dates[1:], tuple(float(r) for r in rets))
+    return ReturnSeries(prices.id, prices.dates[1:], np.log(p[1:] / p[:-1]) * 100.0)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,98 @@
+"""Golden cases: committed inputs, the CLI commands run on them, and their outputs.
+
+``tests/test_golden.py`` replays every case in ``CASES`` and compares what
+it prints and writes with the files under ``expected/``. Run this script
+only when an output is meant to change; it rewrites ``expected/``:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+The inputs under ``inputs/`` are committed, not generated, so a change to
+the fGn generator cannot move them. They were made once:
+
+- ``synth.csv``: ``longmem synth --h 0.6 --n 1200 --seed 11``, 1,200 returns,
+  101 windows at the defaults;
+- ``stale.csv``: ``synth.csv`` with every price from the 701st on equal to the
+  700th, as in an illiquid index;
+- ``fixed.csv``: 600 prices ``100 * 1.0002**t``, whose returns vary only by
+  rounding;
+- ``badrow.csv``: an unparsable price in row 5;
+- ``nonutf8.csv``: a ``0xff`` byte in row 4.
+"""
+
+from __future__ import annotations
+
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from longmem.cli import main
+
+HERE = Path(__file__).resolve().parent
+INPUTS = HERE / "inputs"
+EXPECTED = HERE / "expected"
+
+SPLIT = ("--split-date", "2001-06-01")
+
+# case name -> CLI arguments; every input is named by its file name, and
+# "out" is the output directory, both inside the case's work directory
+CASES = {
+    "run_default": ("run", "synth.csv", "--output-dir", "out"),
+    "run_split": ("run", "synth.csv", *SPLIT, "--output-dir", "out"),
+    "run_rs_end": ("run", "synth.csv", *SPLIT, "--estimator", "rs", "--split-by", "end",
+                   "--output-dir", "out"),
+    "run_dfa2": ("run", "synth.csv", *SPLIT, "--detrend-order", "2", "--ladder", "5,9,17,33",
+                 "--output-dir", "out"),
+    "describe": ("describe", "synth.csv"),
+    "hurst": ("hurst", "synth.csv"),
+    "hurst_rs": ("hurst", "synth.csv", "--estimator", "rs"),
+    "test": ("test", "synth.csv", *SPLIT),
+    "error_stale": ("run", "stale.csv", "--output-dir", "out"),
+    "error_badrow": ("run", "badrow.csv", "--output-dir", "out"),
+    "error_nonutf8": ("describe", "nonutf8.csv"),
+    "error_fixed": ("run", "fixed.csv", "--output-dir", "out"),
+    "error_window": ("run", "synth.csv", "--window", "abc", "--output-dir", "out"),
+}
+
+
+def run_case(name: str, work: Path) -> dict[str, bytes]:
+    """Run one case in the empty directory ``work``.
+
+    Returns its ``exit_code``, ``stdout`` and ``stderr``, and every file it
+    wrote as ``out/<name>``, keyed by those relative names. Paths under
+    ``work`` are printed relative to it.
+    """
+    for path in INPUTS.iterdir():
+        shutil.copyfile(path, work / path.name)
+    args = [str(work / a) if (INPUTS / a).is_file() or a == "out" else a for a in CASES[name]]
+    result = CliRunner().invoke(main, args)
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    prefix = f"{work}/".encode()
+    produced = {
+        "exit_code": f"{result.exit_code}\n".encode(),
+        "stdout": result.stdout_bytes.replace(prefix, b""),
+        "stderr": result.stderr_bytes.replace(prefix, b""),
+    }
+    out = work / "out"
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            produced[f"out/{path.name}"] = path.read_bytes()
+    return produced
+
+
+def regenerate() -> None:
+    shutil.rmtree(EXPECTED, ignore_errors=True)
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as work:
+            for rel, data in run_case(name, Path(work)).items():
+                target = EXPECTED / name / rel
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(data)
+        print(f"wrote {EXPECTED / name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

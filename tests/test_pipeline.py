@@ -1,3 +1,4 @@
+import errno
 import importlib
 import io
 import json
@@ -6,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import date, timedelta
 from importlib import resources
 from pathlib import Path
@@ -124,7 +126,7 @@ class TestIngestCsv:
         p.write_text(content)
         ps = ingest_csv(p, label="lbl")
         assert ps.id == "lbl"
-        assert ps.prices == (100.0, 101.0)
+        assert ps.values.tolist() == [100.0, 101.0]
 
     def test_label_defaults_to_stem(self, tmp_path):
         p = write_prices(tmp_path / "oe_bond.csv", ["2020-01-02,1", "2020-01-03,2"])
@@ -134,7 +136,9 @@ class TestIngestCsv:
         plain = write_prices(tmp_path / "t.csv", ["2020-01-02,100", "2020-01-03,101"])
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        assert ingest_csv(bom, "t") == ingest_csv(plain)
+        got, want = ingest_csv(bom, "t"), ingest_csv(plain)
+        assert got.id == want.id and got.dates == want.dates
+        assert got.values.tolist() == want.values.tolist()
 
     def test_non_utf8_byte_names_file_and_row(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -396,6 +400,67 @@ class TestRunPipeline:
         assert len(log_returns(prices)) == 4203
 
 
+class TestOutputFiles:
+    """Outputs get the mode a plain open() gives, and a series' files are
+    written as one set."""
+
+    def first_run(self, tmp_path):
+        synth = emit_synth(FgnSpec(h=0.6, n=600, seed=5), tmp_path / "s.csv")
+        cfg = RunConfig(inputs=((synth, "s"),), output_dir=tmp_path / "out")
+        assert run_pipeline(cfg, log=io.StringIO()) == 0
+        return synth, cfg
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_respect_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            synth, cfg = self.first_run(tmp_path)
+        finally:
+            os.umask(old)
+        written = [synth, *cfg.output_dir.iterdir()]
+        assert len(written) == 4
+        assert {p.stat().st_mode & 0o777 for p in written} == {mode}
+
+    def test_failed_third_write_leaves_previous_set_whole(self, tmp_path, monkeypatch):
+        _, cfg = self.first_run(tmp_path)
+
+        def files():
+            return {p.name: p.read_bytes() for p in cfg.output_dir.iterdir()}
+
+        old = files()
+        assert len(old) == 3
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_fdopen, opened = os.fdopen, []
+
+        def fdopen(*args, **kwargs):
+            opened.append(real_fdopen(*args, **kwargs))
+            return FullDisk(opened[-1]) if len(opened) == 3 else opened[-1]
+
+        rerun = replace(cfg, estimator="rs")
+        log = io.StringIO()
+        with monkeypatch.context() as m:
+            m.setattr(os, "fdopen", fdopen)
+            assert run_pipeline(rerun, log=log) == 2
+        assert log.getvalue() == "error: s: [Errno 28] No space left on device\n"
+        assert files() == old  # no file replaced, no temporary left
+        # without the failure, the rerun replaces every file
+        assert run_pipeline(rerun, log=io.StringIO()) == 0
+        assert all(files()[name] != data for name, data in old.items())
+
+
 class TestCli:
     def invoke(self, *args):
         return CliRunner().invoke(main, list(args))
@@ -542,7 +607,7 @@ class TestCli:
     def test_stale_prices_name_the_failing_window(self, tmp_path, synth_file, estimator):
         # prices stop moving after the 700th, as in an illiquid index
         series = ingest_csv(synth_file)
-        stale = series.prices[:700] + series.prices[699:700] * (len(series) - 700)
+        stale = series.values[:700].tolist() + [series.values[699].tolist()] * (len(series) - 700)
         path = write_prices(tmp_path / "stale.csv",
                             [f"{d.isoformat()},{p!r}" for d, p in zip(series.dates, stale)])
         res = self.invoke("run", str(path), "--estimator", estimator,

@@ -46,20 +46,52 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="not strictly increasing"):
             PriceSeries("x", (d, d), (1.0, 2.0))
 
+    def test_rejects_a_length_mismatch(self):
+        with pytest.raises(ValueError, match="^dates and prices must have equal length$"):
+            PriceSeries("x", (date(2020, 1, 1),), (1.0, 2.0))
+
+    def test_values_are_a_read_only_copy(self):
+        dates, prices = (date(2020, 1, 1), date(2020, 1, 2)), np.array([100.0, 101.0])
+        series = PriceSeries("x", dates, prices)
+        prices[0] = 1.0
+        assert series.values.dtype == np.float64
+        assert series.values.tolist() == [100.0, 101.0]
+        with pytest.raises(ValueError, match="read-only"):
+            series.values[0] = 1.0
+        assert series != PriceSeries("x", dates, series.values)  # compared by identity
+
+    @given(st.lists(st.sampled_from([1.0, 2.5, 1e-300, 0.0, -0.0, -1.0, math.nan,
+                                     math.inf, -math.inf]), min_size=2, max_size=8))
+    @settings(max_examples=200)
+    def test_checks_name_the_first_bad_price_as_the_element_wise_rule(self, values):
+        dates = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(len(values)))
+        expected = None
+        for d, p in zip(dates, values):  # the element-wise reference
+            if not math.isfinite(p) or p <= 0:
+                cause = "non-finite" if not math.isfinite(p) else "non-positive"
+                expected = f"{cause} price {p} at {d.isoformat()}"
+                break
+        if expected is None:
+            assert PriceSeries("x", dates, values).values.tolist() == values
+        else:
+            with pytest.raises(ValueError) as err:
+                PriceSeries("x", dates, values)
+            assert str(err.value) == expected
+
 
 class TestLogReturns:
     def test_flat_prices_zero_return(self):
         rs = log_returns(make_prices([100.0, 100.0]))
-        assert rs.returns == (0.0,)
+        assert rs.values.tolist() == [0.0]
 
     def test_single_e_fold_is_100_percent(self):
         rs = log_returns(make_prices([100.0, 100.0 * math.e]))
-        assert rs.returns[0] == pytest.approx(100.0, abs=1e-9)
+        assert rs.values[0] == pytest.approx(100.0, abs=1e-9)
 
     def test_doubling_prices(self):
         # ln(2) * 100 = 69.31472 to 5 decimals
         rs = log_returns(make_prices([1.0, 2.0, 4.0]))
-        assert rs.returns == pytest.approx([69.31472, 69.31472], abs=5e-6)
+        assert rs.values == pytest.approx([69.31472, 69.31472], abs=5e-6)
 
     def test_dated_with_later_observation(self):
         prices = make_prices([1.0, 2.0, 4.0])
@@ -163,3 +195,13 @@ class TestReturnSeries:
         d = (date(2020, 1, 1), date(2020, 1, 2))
         with pytest.raises(ValueError, match="non-finite"):
             ReturnSeries("x", d, (1.0, math.inf))
+
+    def test_names_the_first_non_finite_return(self):
+        d = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(4))
+        with pytest.raises(ValueError, match="^non-finite return at 2020-01-02$"):
+            ReturnSeries("x", d, (1.0, math.nan, 2.0, -math.inf))
+
+    def test_values_are_read_only_float64(self):
+        d = (date(2020, 1, 1), date(2020, 1, 2))
+        series = ReturnSeries("x", d, [1, -2])
+        assert series.values.dtype == np.float64 and not series.values.flags.writeable
