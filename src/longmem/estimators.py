@@ -8,8 +8,7 @@ log(statistic) on log(block size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +34,7 @@ METHOD_RS = "rs"
 # Values spanning at most this fraction of their largest magnitude are flat:
 # what varies is rounding, as in a price that compounds at a fixed rate.
 FLAT_SPREAD = 1e-9
+CHUNK = 1 << 14  # a stack of rows runs through the ladder this many values at a time
 
 
 @dataclass(frozen=True)
@@ -149,23 +149,29 @@ def estimate_from_points(
     return HurstEstimate(method, detrend_order, ladder, pts)
 
 
-def _ladder_estimate(x: Sequence[float], ladder: BlockLadder | None, method: str,
-                     statistic: Callable[[np.ndarray, int], float],
-                     detrend_order: int | None = None) -> HurstEstimate:
-    """Fit the sizes of ``ladder`` (the default when None) whose statistic is
-    positive; a zero statistic has no logarithm. A flat series keeps no size,
-    since its statistics measure rounding. DFA works on the profile."""
+def _estimate_rows(rows: np.ndarray, ladder: BlockLadder | None, method: str,
+                   order: int = 1) -> Iterator[HurstEstimate]:
+    """One estimate per row of ``rows``, a stack of equal-length series, fit to
+    the sizes of ``ladder`` (the default when None) with a positive statistic; a
+    flat row keeps none, since its statistics measure rounding. Each step is
+    element-wise or a sum along a row, so a row gives the same bits alone or stacked."""
     ladder = BlockLadder.default() if ladder is None else ladder
-    arr = np.asarray(x, dtype=float)
-    ladder.check_series_length(arr.size)
-    lo, hi = float(arr.min()), float(arr.max())
-    points = []
-    if hi - lo > FLAT_SPREAD * max(-lo, hi):
+    ladder.check_series_length(rows.shape[-1])
+    order = order if method == METHOD_DFA else None
+    per_block = max(1, CHUNK // rows.shape[-1])
+    for first in range(0, len(rows), per_block):
+        block = np.array(rows[first : first + per_block], dtype=float)
+        lo, hi = block.min(axis=-1), block.max(axis=-1)
+        live = (hi - lo > FLAT_SPREAD * np.maximum(-lo, hi)).tolist()
         if method == METHOD_DFA:
-            arr = dfa_profile(arr)
-        points = [(m, s) for m in ladder if (s := statistic(arr, m)) > 0]
-    return estimate_from_points(points, method=method, ladder=ladder,
-                                detrend_order=detrend_order)
+            profile = dfa_profile(block)
+            stats = [dfa_fluctuation(profile, m, order) for m in ladder]
+        else:
+            stats = [_mean_rs(block, m) for m in ladder]
+        for keep, row in zip(live, np.stack(stats, axis=-1).tolist()):
+            points = [(m, s) for m, s in zip(ladder, row) if keep and s > 0]
+            yield estimate_from_points(points, method=method, ladder=ladder,
+                                       detrend_order=order)
 
 
 def rs_statistic(x: Sequence[float]) -> float:
@@ -175,29 +181,24 @@ def rs_statistic(x: Sequence[float]) -> float:
     arr = np.asarray(x, dtype=float)
     if arr.size < 2:
         raise ValueError(f"R/S needs at least 2 points, got {arr.size}")
-    value = _block_rs_values(arr, arr.size)
-    if not value.size:
+    value = float(_mean_rs(arr, arr.size))
+    if not value:
         raise ValueError("degenerate window: zero variance")
-    return float(value[0])
+    return value
 
 
-def _block_rs_values(x: np.ndarray, tau: int) -> np.ndarray:
-    """R/S per non-overlapping block of length tau; degenerate blocks dropped."""
-    nblocks = x.size // tau
-    blocks = x[: nblocks * tau].reshape(nblocks, tau)
-    dev = blocks - blocks.mean(axis=1, keepdims=True)
-    s = np.sqrt(np.mean(dev**2, axis=1))
-    spread = np.ptp(blocks, axis=1)
-    keep = (s > 0) & (spread > 0)
-    cum = np.cumsum(dev[keep], axis=1)
-    rng = cum.max(axis=1) - cum.min(axis=1)
-    return rng / s[keep]
-
-
-def _mean_rs(x: np.ndarray, tau: int) -> float:
-    """Mean R/S over the usable blocks of length tau; 0 when there are none."""
-    vals = _block_rs_values(x, tau)
-    return float(vals.mean()) if vals.size else 0.0
+def _mean_rs(x: np.ndarray, tau: int) -> np.ndarray:
+    """Mean R/S over the non-overlapping blocks of length tau along the last
+    axis; blocks with zero variance or spread are skipped, and a row with none
+    gives 0."""
+    nblocks = x.shape[-1] // tau
+    blocks = x[..., : nblocks * tau].reshape(*x.shape[:-1], nblocks, tau)
+    dev = blocks - blocks.mean(axis=-1, keepdims=True)
+    s = np.sqrt(np.mean(dev**2, axis=-1))
+    keep = (s > 0) & (np.ptp(blocks, axis=-1) > 0)
+    cum = np.cumsum(dev, axis=-1, out=dev)
+    rs = np.divide(np.ptp(cum, axis=-1), s, out=np.zeros_like(s), where=keep)
+    return rs.sum(axis=-1) / np.maximum(keep.sum(axis=-1), 1)
 
 
 def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEstimate:
@@ -208,19 +209,22 @@ def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEsti
     exponent is the slope of log(mean R/S) on log(size). Sizes with no
     non-degenerate block are dropped; fewer than 3 survivors raise.
     """
-    return _ladder_estimate(x, ladder, METHOD_RS, _mean_rs)
+    return next(_estimate_rows(np.reshape(x, (1, -1)), ladder, METHOD_RS))
 
 
 def dfa_profile(y: Sequence[float]) -> np.ndarray:
-    """Integrated series: cumulative sum of deviations from the mean."""
+    """Integrated series: cumulative sum of deviations from the mean, along
+    the last axis, so ``y`` may be one series or a stack of rows."""
     arr = np.asarray(y, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot build a profile from an empty series")
-    return np.cumsum(arr - arr.mean())
+    profile = arr - arr.mean(axis=-1, keepdims=True)
+    return np.cumsum(profile, axis=-1, out=profile)
 
 
-def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float:
-    """Root mean square detrending residual at block size m.
+def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float | np.ndarray:
+    """Root mean square detrending residual at block size m, along the last
+    axis, so ``x_profile`` may be one profile or a stack of rows.
 
     The profile is cut into floor(M/m) non-overlapping windows from the first
     point; each window gets an independent least-squares polynomial fit of the
@@ -233,19 +237,20 @@ def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float
         raise ValueError("detrend order must be >= 0")
     if m < order + 2:
         raise ValueError(f"block size {m} too small for an order-{order} fit")
-    if m > prof.size:
-        raise ValueError(f"block size {m} exceeds profile length {prof.size}")
-    nwin = prof.size // m
-    segments = prof[: nwin * m].reshape(nwin, m)
-    design = np.vander(np.arange(m, dtype=float), order + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(design, segments.T, rcond=None)
-    resid = design @ coef - segments.T
-    return float(np.sqrt(np.mean(resid * resid)))
+    if m > prof.shape[-1]:
+        raise ValueError(f"block size {m} exceeds profile length {prof.shape[-1]}")
+    segments = prof[..., : prof.shape[-1] // m * m].reshape(*prof.shape[:-1], -1, m)
+    # on the centred index an exactly polynomial window fits to exactly 0
+    design = np.vander(np.arange(m) - (m - 1) / 2, order + 1, increasing=True)
+    resid = np.array(segments)
+    for column, weights in zip(design.T, np.linalg.pinv(design)):
+        resid -= (segments * weights).sum(axis=-1, keepdims=True) * column
+    resid *= resid
+    return np.sqrt(resid.reshape(*prof.shape[:-1], -1).mean(axis=-1))
 
 
-def hurst_dfa(
-    y: Sequence[float], ladder: BlockLadder | None = None, order: int = 1
-) -> HurstEstimate:
+def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,
+              order: int = 1) -> HurstEstimate:
     """Hurst exponent via detrended fluctuation analysis.
 
     Builds the profile, evaluates the fluctuation function at every ladder
@@ -254,5 +259,4 @@ def hurst_dfa(
     """
     if order < 1:
         raise ValueError("DFA detrend order must be >= 1")
-    fluctuation = partial(dfa_fluctuation, order=order)
-    return _ladder_estimate(y, ladder, METHOD_DFA, fluctuation, order)
+    return next(_estimate_rows(np.reshape(y, (1, -1)), ladder, METHOD_DFA, order))

@@ -7,15 +7,9 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimators import (
-    METHOD_DFA,
-    METHOD_RS,
-    BlockLadder,
-    HurstEstimate,
-    hurst_dfa,
-    hurst_rs,
-)
+from .estimators import METHOD_DFA, METHOD_RS, BlockLadder, HurstEstimate, _estimate_rows
 from .series import ReturnSeries
 
 __all__ = [
@@ -57,9 +51,8 @@ class RollingProtocol:
                 f"block size {smallest} too small for an order-{self.detrend_order} fit")
 
     def estimate(self, values: np.ndarray) -> HurstEstimate:
-        if self.estimator == METHOD_DFA:
-            return hurst_dfa(values, self.ladder, self.detrend_order)
-        return hurst_rs(values, self.ladder)
+        return next(_estimate_rows(np.reshape(values, (1, -1)), self.ladder, self.estimator,
+                                   self.detrend_order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +87,12 @@ def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingRe
     offsets = window_offsets(values.size, protocol.window, protocol.step)
     starts = tuple(dates[off] for off in offsets)
     ends = tuple(dates[off + last] for off in offsets)
+    estimates = _estimate_rows(sliding_window_view(values, protocol.window)[::protocol.step],
+                               protocol.ladder, protocol.estimator, protocol.detrend_order)
     h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
-    for i, off in enumerate(offsets):
+    for i in range(len(offsets)):
         try:
-            est = protocol.estimate(values[off : off + protocol.window])
+            est = next(estimates)
         except ValueError as exc:
             raise ValueError(f"window {i + 1} ({starts[i]} to {ends[i]}): {exc}") from exc
         h[i], r_squared[i] = est.h, est.r_squared

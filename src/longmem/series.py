@@ -96,8 +96,9 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
 
     r[t+1] = ln(p[t+1] / p[t]) * 100
     """
-    p = prices.values
-    return ReturnSeries(prices.id, prices.dates[1:], np.log(p[1:] / p[:-1]) * 100.0)
+    with np.errstate(divide="ignore", over="ignore"):  # ReturnSeries names a non-finite return
+        p = prices.values
+        return ReturnSeries(prices.id, prices.dates[1:], np.log(p[1:] / p[:-1]) * 100.0)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,234 @@
+"""The stacked-window estimator against the per-window path it replaced.
+
+The oracle below is the earlier code kept as a reference: each window was
+sliced and estimated alone, DFA fitted each block with ``lstsq`` on the raw
+index, and R/S averaged the values of the non-degenerate blocks only.
+"""
+
+import tracemalloc
+import warnings
+from datetime import date, timedelta
+from functools import partial
+
+import numpy as np
+import pytest
+
+from longmem import estimators
+from longmem.estimators import (
+    FLAT_SPREAD,
+    BlockLadder,
+    estimate_from_points,
+    hurst_dfa,
+    hurst_rs,
+)
+from longmem.rolling import RollingProtocol, rolling_hurst, window_offsets
+from longmem.series import ReturnSeries
+
+
+def oracle_fluctuation(profile, m, order):
+    nwin = profile.size // m
+    segments = profile[: nwin * m].reshape(nwin, m)
+    design = np.vander(np.arange(m, dtype=float), order + 1, increasing=True)
+    coef, *_ = np.linalg.lstsq(design, segments.T, rcond=None)
+    resid = design @ coef - segments.T
+    return float(np.sqrt(np.mean(resid * resid)))
+
+
+def oracle_block_rs_values(x, tau):
+    nblocks = x.size // tau
+    blocks = x[: nblocks * tau].reshape(nblocks, tau)
+    dev = blocks - blocks.mean(axis=1, keepdims=True)
+    s = np.sqrt(np.mean(dev**2, axis=1))
+    spread = np.ptp(blocks, axis=1)
+    keep = (s > 0) & (spread > 0)
+    cum = np.cumsum(dev[keep], axis=1)
+    rng = cum.max(axis=1) - cum.min(axis=1)
+    return rng / s[keep]
+
+
+def oracle_mean_rs(x, tau):
+    vals = oracle_block_rs_values(x, tau)
+    return float(vals.mean()) if vals.size else 0.0
+
+
+def oracle_ladder_estimate(x, ladder, method, statistic, detrend_order=None):
+    """Returns the kept ladder sizes and the estimate, or the error it raised."""
+    arr = np.asarray(x, dtype=float)
+    ladder.check_series_length(arr.size)
+    lo, hi = float(arr.min()), float(arr.max())
+    points = []
+    if hi - lo > FLAT_SPREAD * max(-lo, hi):
+        if method == "dfa":
+            arr = np.cumsum(arr - arr.mean())
+        points = [(m, s) for m in ladder if (s := statistic(arr, m)) > 0]
+    sizes = [m for m, _ in points]
+    try:
+        return sizes, estimate_from_points(points, method=method, ladder=ladder,
+                                           detrend_order=detrend_order)
+    except ValueError as exc:
+        return sizes, exc
+
+
+def oracle_estimate(values, protocol):
+    if protocol.estimator == "dfa":
+        order = protocol.detrend_order
+        return oracle_ladder_estimate(values, protocol.ladder, "dfa",
+                                      partial(oracle_fluctuation, order=order), order)
+    return oracle_ladder_estimate(values, protocol.ladder, "rs", oracle_mean_rs)
+
+
+def make_returns(values, start=date(2000, 1, 3)):
+    dates = tuple(start + timedelta(days=i) for i in range(len(values)))
+    return ReturnSeries("x", dates, values)
+
+
+def compare_with_oracle(monkeypatch, values, protocol):
+    """Runs both paths; checks kept sizes per window, h and r² to 1e-12, and
+    the first failure's message. Returns the kernel's result, or None."""
+    returns = make_returns(values)
+    kept = []
+    fit = estimators.estimate_from_points
+
+    def record(points, **kwargs):
+        points = list(points)
+        kept.append([m for m, _ in points])
+        return fit(points, **kwargs)
+
+    monkeypatch.setattr(estimators, "estimate_from_points", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result, failure = rolling_hurst(returns, protocol), None
+        except ValueError as exc:
+            result, failure = None, str(exc)
+    monkeypatch.undo()
+
+    last = protocol.window - 1
+    expected_sizes, expected_failure, h, r2 = [], None, [], []
+    for i, off in enumerate(window_offsets(values.size, protocol.window, protocol.step)):
+        sizes, est = oracle_estimate(values[off : off + protocol.window], protocol)
+        expected_sizes.append(sizes)
+        if isinstance(est, ValueError):
+            expected_failure = (f"window {i + 1} ({returns.dates[off]} to "
+                                f"{returns.dates[off + last]}): {est}")
+            break
+        h.append(est.h)
+        r2.append(est.r_squared)
+    assert kept == expected_sizes
+    assert failure == expected_failure
+    if result is not None:
+        assert np.max(np.abs(result.h - h)) <= 1e-12
+        assert np.max(np.abs(result.r_squared - r2)) <= 1e-12
+    return result
+
+
+def random_ladder(rng, window, order):
+    """3-5 increasing sizes, none a power of two, within half the window."""
+    pool = [m for m in range(max(5, order + 2), window // 2 + 1) if m & (m - 1)]
+    count = int(rng.integers(3, 6))
+    return BlockLadder(sorted(int(m) for m in rng.choice(pool, count, replace=False)))
+
+
+@pytest.mark.parametrize("estimator", ["dfa", "rs"])
+def test_random_shapes_match_oracle(monkeypatch, estimator):
+    rng = np.random.default_rng(2016 if estimator == "dfa" else 1951)
+    for _ in range(20):
+        window = int(rng.integers(60, 701))
+        step = int(rng.integers(1, 20))
+        order = int(rng.integers(1, 3))
+        protocol = RollingProtocol(window=window, step=step, estimator=estimator,
+                                   ladder=random_ladder(rng, window, order),
+                                   detrend_order=order)
+        n = window + step * int(rng.integers(0, 60))
+        scale = 10.0 ** rng.uniform(-3, 2)
+        noise = rng.standard_t(3, n) if rng.random() < 0.5 else rng.standard_normal(n)
+        values = scale * noise
+        result = compare_with_oracle(monkeypatch, values, protocol)
+        assert result is not None
+        # a window gives the same bits alone as in the stack
+        for i, off in enumerate(window_offsets(n, window, step)):
+            alone = protocol.estimate(values[off : off + window])
+            assert (alone.h, alone.r_squared) == (result.h[i], result.r_squared[i])
+
+
+@pytest.mark.parametrize("estimator", ["dfa", "rs"])
+def test_many_windows_cross_block_boundaries(monkeypatch, estimator):
+    # 70-point windows at step 1: several blocks of rows
+    values = np.random.default_rng(5).standard_normal(900)
+    protocol = RollingProtocol(window=70, step=1, estimator=estimator,
+                               ladder=BlockLadder((5, 11, 23, 35)))
+    assert compare_with_oracle(monkeypatch, values, protocol) is not None
+
+
+@pytest.mark.parametrize("estimator", ["dfa", "rs"])
+def test_stale_runs_match_oracle(monkeypatch, estimator):
+    # stale prices give zero returns: R/S skips the blocks inside a short run,
+    # and a run that covers a whole window leaves that window flat. The runs
+    # stay shorter than two 48-blocks: where every block of a size is stale,
+    # DFA's fluctuation there is rounding, which the two paths round apart
+    rng = np.random.default_rng(7)
+    protocol = RollingProtocol(window=120, step=3, estimator=estimator,
+                               ladder=BlockLadder((6, 12, 24, 48)))
+    for length in (5, 30, 90):
+        values = rng.standard_normal(400)
+        values[150 : 150 + length] = 0.0
+        assert compare_with_oracle(monkeypatch, values, protocol) is not None
+    values = rng.standard_normal(400)
+    values[150:300] = 0.0
+    assert compare_with_oracle(monkeypatch, values, protocol) is None
+
+
+def test_zero_variance_rs_blocks_match_oracle(monkeypatch):
+    # every 6-block repeats one value, so size 6 keeps no block in any window
+    # that starts on a multiple of 6, and a few blocks elsewhere
+    values = np.repeat(np.random.default_rng(8).standard_normal(80), 6)
+    for step in (6, 5):
+        protocol = RollingProtocol(window=120, step=step, estimator="rs",
+                                   ladder=BlockLadder((6, 12, 24, 48)))
+        assert compare_with_oracle(monkeypatch, values, protocol) is not None
+
+
+@pytest.mark.parametrize("estimator", ["dfa", "rs"])
+def test_flat_windows_match_oracle(monkeypatch, estimator):
+    # returns of a price compounding at a fixed rate vary only by rounding
+    prices = 100.0 * 1.0002 ** np.arange(301)
+    fixed_rate = np.log(prices[1:] / prices[:-1]) * 100.0
+    noise = np.random.default_rng(9).standard_normal(200)
+    protocol = RollingProtocol(window=100, step=7, estimator=estimator,
+                               ladder=BlockLadder((5, 10, 20, 40)))
+    for flat in (fixed_rate, np.full(150, 0.3)):
+        values = np.concatenate([noise, flat])
+        assert compare_with_oracle(monkeypatch, values, protocol) is None
+
+
+def test_whole_series_estimates_match_oracle():
+    rng = np.random.default_rng(10)
+    ladder = BlockLadder((5, 9, 17, 33, 65))
+    for n in (140, 1000, 5000):
+        x = rng.standard_normal(n)
+        sizes, oracle = oracle_ladder_estimate(x, ladder, "rs", oracle_mean_rs)
+        est = hurst_rs(x, ladder)
+        assert [m for m, _ in est.points] == sizes
+        assert abs(est.h - oracle.h) <= 1e-12
+        for order in (1, 2):
+            sizes, oracle = oracle_ladder_estimate(
+                x, ladder, "dfa", partial(oracle_fluctuation, order=order), order)
+            est = hurst_dfa(x, ladder, order)
+            assert [m for m, _ in est.points] == sizes
+            assert abs(est.h - oracle.h) <= 1e-12
+            assert abs(est.r_squared - oracle.r_squared) <= 1e-12
+
+
+@pytest.mark.parametrize("estimator, order", [("dfa", 1), ("dfa", 2), ("rs", 1)])
+def test_rolling_memory_stays_small(estimator, order):
+    # 20,000 returns at the default protocol: 2,786 windows of 500
+    returns = make_returns(np.random.default_rng(11).standard_normal(20_000))
+    protocol = RollingProtocol(estimator=estimator, detrend_order=order)
+    tracemalloc.start()
+    try:
+        result = rolling_hurst(returns, protocol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.h.size == 2786
+    assert peak < 2 * 2**20
