@@ -10,7 +10,6 @@ from .estimators import (
     fit_power_law,
     hurst_dfa,
     hurst_rs,
-    rs_statistic,
 )
 from .pipeline import RunConfig, emit_synth, ingest_csv, run_pipeline
 from .rolling import (
@@ -48,7 +47,6 @@ __all__ = [
     "fit_power_law",
     "hurst_dfa",
     "hurst_rs",
-    "rs_statistic",
     "RunConfig",
     "emit_synth",
     "ingest_csv",

@@ -18,7 +18,6 @@ __all__ = [
     "HurstEstimate",
     "fit_power_law",
     "estimate_from_points",
-    "rs_statistic",
     "hurst_rs",
     "dfa_profile",
     "dfa_fluctuation",
@@ -31,8 +30,8 @@ DEFAULT_LADDER_SIZES = (4, 8, 16, 32, 64, 128)
 METHOD_DFA = "dfa"
 METHOD_RS = "rs"
 
-# Values spanning at most this fraction of their largest magnitude are flat:
-# what varies is rounding, as in a price that compounds at a fixed rate.
+# A window's floor, as a fraction of its largest magnitude: a DFA fluctuation or R/S
+# block range at or under it is rounding (stale zero returns, fixed-rate accrual).
 FLAT_SPREAD = 1e-9
 CHUNK = 1 << 14  # a stack of rows runs through the ladder this many values at a time
 
@@ -152,50 +151,39 @@ def estimate_from_points(
 def _estimate_rows(rows: np.ndarray, ladder: BlockLadder | None, method: str,
                    order: int = 1) -> Iterator[HurstEstimate]:
     """One estimate per row of ``rows``, a stack of equal-length series, fit to
-    the sizes of ``ladder`` (the default when None) with a positive statistic; a
-    flat row keeps none, since its statistics measure rounding. Each step is
-    element-wise or a sum along a row, so a row gives the same bits alone or stacked."""
+    the sizes of ``ladder`` (the default when None) that clear the row's floor,
+    ``FLAT_SPREAD`` of its largest magnitude: a DFA fluctuation above it, or an
+    R/S block range above it in at least one block. Each step is element-wise
+    or a sum along a row, so a row gives the same bits alone or stacked."""
     ladder = BlockLadder.default() if ladder is None else ladder
     ladder.check_series_length(rows.shape[-1])
     order = order if method == METHOD_DFA else None
     per_block = max(1, CHUNK // rows.shape[-1])
     for first in range(0, len(rows), per_block):
         block = np.array(rows[first : first + per_block], dtype=float)
-        lo, hi = block.min(axis=-1), block.max(axis=-1)
-        live = (hi - lo > FLAT_SPREAD * np.maximum(-lo, hi)).tolist()
+        floor = FLAT_SPREAD * np.maximum(-block.min(axis=-1), block.max(axis=-1))
         if method == METHOD_DFA:
             profile = dfa_profile(block)
-            stats = [dfa_fluctuation(profile, m, order) for m in ladder]
+            stats = np.stack([dfa_fluctuation(profile, m, order) for m in ladder], axis=-1)
+            counts = stats > floor[:, None]
         else:
-            stats = [_mean_rs(block, m) for m in ladder]
-        for keep, row in zip(live, np.stack(stats, axis=-1).tolist()):
-            points = [(m, s) for m, s in zip(ladder, row) if keep and s > 0]
+            stats = np.stack([_mean_rs(block, m, floor) for m in ladder], axis=-1)
+            counts = stats > 0
+        for row, keep in zip(stats.tolist(), counts.tolist()):
+            points = [(m, s) for m, s, k in zip(ladder, row, keep) if k]
             yield estimate_from_points(points, method=method, ladder=ladder,
                                        detrend_order=order)
 
 
-def rs_statistic(x: Sequence[float]) -> float:
-    """Rescaled range: spread of the partial sums of mean deviations over the
-    population standard deviation.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.size < 2:
-        raise ValueError(f"R/S needs at least 2 points, got {arr.size}")
-    value = float(_mean_rs(arr, arr.size))
-    if not value:
-        raise ValueError("degenerate window: zero variance")
-    return value
-
-
-def _mean_rs(x: np.ndarray, tau: int) -> np.ndarray:
+def _mean_rs(x: np.ndarray, tau: int, floor: np.ndarray | float = 0.0) -> np.ndarray:
     """Mean R/S over the non-overlapping blocks of length tau along the last
-    axis; blocks with zero variance or spread are skipped, and a row with none
-    gives 0."""
+    axis. A block counts when its range exceeds ``floor`` (one value per row)
+    and its standard deviation stays positive; a row with none gives 0."""
     nblocks = x.shape[-1] // tau
     blocks = x[..., : nblocks * tau].reshape(*x.shape[:-1], nblocks, tau)
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
     s = np.sqrt(np.mean(dev**2, axis=-1))
-    keep = (s > 0) & (np.ptp(blocks, axis=-1) > 0)
+    keep = (s > 0) & (np.ptp(blocks, axis=-1) > np.expand_dims(floor, -1))
     cum = np.cumsum(dev, axis=-1, out=dev)
     rs = np.divide(np.ptp(cum, axis=-1), s, out=np.zeros_like(s), where=keep)
     return rs.sum(axis=-1) / np.maximum(keep.sum(axis=-1), 1)
@@ -206,8 +194,8 @@ def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEsti
 
     For each ladder size the series is cut into non-overlapping blocks, the
     rescaled range is averaged across the non-degenerate blocks, and the
-    exponent is the slope of log(mean R/S) on log(size). Sizes with no
-    non-degenerate block are dropped; fewer than 3 survivors raise.
+    exponent is the slope of log(mean R/S) on log(size). Blocks whose range is
+    rounding are skipped, sizes with none dropped; fewer than 3 survivors raise.
     """
     return next(_estimate_rows(np.reshape(x, (1, -1)), ladder, METHOD_RS))
 
@@ -254,8 +242,8 @@ def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,
     """Hurst exponent via detrended fluctuation analysis.
 
     Builds the profile, evaluates the fluctuation function at every ladder
-    size, drops sizes with zero fluctuation (log undefined), and regresses
-    log F on log m. Raises if fewer than 3 sizes survive.
+    size, drops sizes whose fluctuation is rounding, and regresses log F on
+    log m. Raises if fewer than 3 sizes survive.
     """
     if order < 1:
         raise ValueError("DFA detrend order must be >= 1")

@@ -15,6 +15,10 @@ the fGn generator cannot move them. They were made once:
   700th, as in an illiquid index;
 - ``fixed.csv``: 600 prices ``100 * 1.0002**t``, whose returns vary only by
   rounding;
+- ``accrual.csv``: ``synth.csv`` with prices 301-750 each 1.0002 times the one
+  before, as in an index accruing while stale, and every later price keeping
+  ``synth.csv``'s ratio to the one before. Windows 44-53 hold three 128-blocks
+  of accrual;
 - ``badrow.csv``: an unparsable price in row 5;
 - ``nonutf8.csv``: a ``0xff`` byte in row 4.
 """
@@ -43,6 +47,7 @@ CASES = {
     "run_split": ("run", "synth.csv", *SPLIT, "--output-dir", "out"),
     "run_rs_end": ("run", "synth.csv", *SPLIT, "--estimator", "rs", "--split-by", "end",
                    "--output-dir", "out"),
+    "run_accrual": ("run", "accrual.csv", "--output-dir", "out"),
     "run_dfa2": ("run", "synth.csv", *SPLIT, "--detrend-order", "2", "--ladder", "5,9,17,33",
                  "--output-dir", "out"),
     "describe": ("describe", "synth.csv"),

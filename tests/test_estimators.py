@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longmem import estimators
 from longmem.estimators import (
     BlockLadder,
     HurstEstimate,
@@ -14,7 +15,6 @@ from longmem.estimators import (
     fit_power_law,
     hurst_dfa,
     hurst_rs,
-    rs_statistic,
 )
 from longmem.synth import FgnSpec, generate_fgn, generate_gaussian, powerlaw_fixture
 
@@ -54,6 +54,12 @@ class TestBlockLadder:
             lad.check_series_length(31)
 
 
+def rs_statistic(values):
+    """The R/S statistic of one block: ``_mean_rs`` over the whole series."""
+    x = np.asarray(values, dtype=float)
+    return estimators._mean_rs(x, x.size)
+
+
 class TestRsStatistic:
     def test_two_point_hand_value(self):
         # cumdevs [1, 0], spread 1, population s = 1
@@ -64,14 +70,6 @@ class TestRsStatistic:
         assert rs_statistic([1.0, 2.0, 3.0, 4.0]) == pytest.approx(
             2.0 / math.sqrt(1.25), rel=1e-14
         )
-
-    def test_degenerate_window(self):
-        with pytest.raises(ValueError, match="degenerate window"):
-            rs_statistic([3.0] * 8)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            rs_statistic([1.0])
 
     @given(
         scale=st.floats(min_value=1e-3, max_value=1e3),
@@ -325,3 +323,20 @@ class TestDropRule:
         assert dfa_fluctuation(profile, 4, order=1) == 0.0
         est = hurst_dfa(y, BlockLadder((4, 8, 16, 32)), order=1)
         assert [m for m, _ in est.points] == [8, 16, 32]
+
+    def test_dfa_drops_size_whose_blocks_are_all_stale(self):
+        # every 48-block lies in the run of zeros, so F(48) is rounding
+        est = hurst_dfa(np.r_[np.zeros(119), 1.0], BlockLadder((6, 12, 24, 48)))
+        assert [m for m, _ in est.points] == [6, 12, 24]
+
+    def test_rs_skips_accruing_blocks_as_it_skips_constant_ones(self):
+        # returns 128-383 of a price compounding at a fixed rate vary only by
+        # rounding, so their blocks count no more than blocks of one constant
+        prices = 100.0 * 1.0002 ** np.arange(501)
+        accrual = np.log(prices[1:] / prices[:-1]) * 100.0
+        accruing = np.array(generate_gaussian(500, seed=3))
+        constant = accruing.copy()
+        accruing[128:384] = accrual[128:384]
+        constant[128:384] = 0.02
+        a, b = hurst_rs(accruing, PAPER_LADDER), hurst_rs(constant, PAPER_LADDER)
+        assert (a.h, a.r_squared) == (b.h, b.r_squared)
