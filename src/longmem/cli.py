@@ -8,6 +8,7 @@ from pathlib import Path
 
 import click
 
+from .estimators import METHOD_RS, hurst_dfa, hurst_rs
 from .pipeline import (
     _SETTINGS,
     PipelineError,
@@ -105,7 +106,11 @@ def hurst_cmd(ctx: click.Context, inputs, **flags) -> None:
     protocol = cfg.protocol()
 
     def show(prices) -> None:
-        h = protocol.estimate(log_returns(prices).values)
+        returns = log_returns(prices).values
+        if protocol.estimator == METHOD_RS:
+            h = hurst_rs(returns, protocol.ladder)
+        else:
+            h = hurst_dfa(returns, protocol.ladder, protocol.detrend_order)
         click.echo(
             f"{prices.id}: h={h.h:.6f} r_squared={h.r_squared:.6f} "
             f"method={h.method} points={len(h.points)}"

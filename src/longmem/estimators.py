@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DEFAULT_LADDER_SIZES",
@@ -33,7 +34,7 @@ METHOD_RS = "rs"
 # A window's floor, as a fraction of its largest magnitude: a DFA fluctuation or R/S
 # block range at or under it is rounding (stale zero returns, fixed-rate accrual).
 FLAT_SPREAD = 1e-9
-CHUNK = 1 << 14  # a stack of rows runs through the ladder this many values at a time
+CHUNK = 1 << 14  # DFA runs a chunk of windows through the ladder this many values at a time
 
 
 @dataclass(frozen=True)
@@ -148,26 +149,33 @@ def estimate_from_points(
     return HurstEstimate(method, detrend_order, ladder, pts)
 
 
-def _estimate_rows(rows: np.ndarray, ladder: BlockLadder | None, method: str,
-                   order: int = 1) -> Iterator[HurstEstimate]:
-    """One estimate per row of ``rows``, a stack of equal-length series, fit to
-    the sizes of ``ladder`` (the default when None) that clear the row's floor,
-    ``FLAT_SPREAD`` of its largest magnitude: a DFA fluctuation above it, or an
-    R/S block range above it in at least one block. Each step is element-wise
-    or a sum along a row, so a row gives the same bits alone or stacked."""
+def _estimate_rows(values: np.ndarray, window: int, step: int, ladder: BlockLadder | None,
+                   method: str, order: int = 1) -> Iterator[HurstEstimate]:
+    """One estimate per window of ``values``: ``window`` points starting every
+    ``step`` points from the first. Each is fit to the sizes of ``ladder`` (the
+    default when None) that clear the window's floor, ``FLAT_SPREAD`` of its
+    largest magnitude: a DFA fluctuation above it, or an R/S block range above
+    it in at least one block. Each step is element-wise or a sum along a row,
+    so a window gives the same bits alone or among others."""
     ladder = BlockLadder.default() if ladder is None else ladder
-    ladder.check_series_length(rows.shape[-1])
+    ladder.check_series_length(window)
     order = order if method == METHOD_DFA else None
-    per_block = max(1, CHUNK // rows.shape[-1])
-    for first in range(0, len(rows), per_block):
-        block = np.array(rows[first : first + per_block], dtype=float)
-        floor = FLAT_SPREAD * np.maximum(-block.min(axis=-1), block.max(axis=-1))
+    windows = sliding_window_view(values, window)[::step]
+    if method == METHOD_DFA:
+        per_chunk = max(1, CHUNK // window)
+    else:  # R/S copies only a chunk's distinct blocks; its map of block starts grows with step
+        per_chunk = max(1, 2 * CHUNK // max(window, step))
+    for first in range(0, len(windows), per_chunk):
+        chunk = windows[first : first + per_chunk]
+        floor = FLAT_SPREAD * np.maximum(-chunk.min(axis=-1), chunk.max(axis=-1))
         if method == METHOD_DFA:
-            profile = dfa_profile(block)
+            profile = dfa_profile(np.array(chunk))
             stats = np.stack([dfa_fluctuation(profile, m, order) for m in ladder], axis=-1)
             counts = stats > floor[:, None]
         else:
-            stats = np.stack([_mean_rs(block, m, floor) for m in ladder], axis=-1)
+            starts = step * np.arange(first, first + len(chunk))
+            stats = np.stack([_shared_mean_rs(values, starts, window, m, floor)
+                              for m in ladder], axis=-1)
             counts = stats > 0
         for row, keep in zip(stats.tolist(), counts.tolist()):
             points = [(m, s) for m, s, k in zip(ladder, row, keep) if k]
@@ -175,17 +183,28 @@ def _estimate_rows(rows: np.ndarray, ladder: BlockLadder | None, method: str,
                                        detrend_order=order)
 
 
-def _mean_rs(x: np.ndarray, tau: int, floor: np.ndarray | float = 0.0) -> np.ndarray:
-    """Mean R/S over the non-overlapping blocks of length tau along the last
-    axis. A block counts when its range exceeds ``floor`` (one value per row)
-    and its standard deviation stays positive; a row with none gives 0."""
-    nblocks = x.shape[-1] // tau
-    blocks = x[..., : nblocks * tau].reshape(*x.shape[:-1], nblocks, tau)
+def _shared_mean_rs(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
+                    floor: np.ndarray) -> np.ndarray:
+    """Mean R/S over the non-overlapping tau-blocks of each window of ``x``
+    that starts at ``starts`` (increasing, evenly spaced). A block counts when
+    its range exceeds the window's ``floor`` and its standard deviation stays
+    positive; a window with none gives 0. Each distinct block is computed once,
+    as a row, and shared by every window that holds it."""
+    # block k of window i starts at starts[i] + k * tau; index[i, k] is its row
+    at = (starts - starts[0])[:, None] + tau * np.arange(window // tau)
+    present = np.zeros(at[-1, -1] + 1, dtype=bool)
+    present[at] = True
+    index = np.cumsum(present).take(at) - 1
+    blocks = sliding_window_view(x, tau)[starts[0] + np.flatnonzero(present)]
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
     s = np.sqrt(np.mean(dev**2, axis=-1))
-    keep = (s > 0) & (np.ptp(blocks, axis=-1) > np.expand_dims(floor, -1))
+    spread = np.ptp(blocks, axis=-1)
     cum = np.cumsum(dev, axis=-1, out=dev)
-    rs = np.divide(np.ptp(cum, axis=-1), s, out=np.zeros_like(s), where=keep)
+    varies = s > 0
+    rs = np.divide(np.ptp(cum, axis=-1), s, out=np.zeros_like(s), where=varies)
+    keep = spread.take(index) > floor[:, None]
+    keep &= varies.take(index)
+    rs = np.where(keep, rs.take(index), 0.0)
     return rs.sum(axis=-1) / np.maximum(keep.sum(axis=-1), 1)
 
 
@@ -197,7 +216,8 @@ def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEsti
     exponent is the slope of log(mean R/S) on log(size). Blocks whose range is
     rounding are skipped, sizes with none dropped; fewer than 3 survivors raise.
     """
-    return next(_estimate_rows(np.reshape(x, (1, -1)), ladder, METHOD_RS))
+    values = np.asarray(x, dtype=float).reshape(-1)
+    return next(_estimate_rows(values, values.size, 1, ladder, METHOD_RS))
 
 
 def dfa_profile(y: Sequence[float]) -> np.ndarray:
@@ -247,4 +267,5 @@ def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,
     """
     if order < 1:
         raise ValueError("DFA detrend order must be >= 1")
-    return next(_estimate_rows(np.reshape(y, (1, -1)), ladder, METHOD_DFA, order))
+    values = np.asarray(y, dtype=float).reshape(-1)
+    return next(_estimate_rows(values, values.size, 1, ladder, METHOD_DFA, order))

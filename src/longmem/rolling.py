@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimators import METHOD_DFA, METHOD_RS, BlockLadder, HurstEstimate, _estimate_rows
+from .estimators import METHOD_DFA, METHOD_RS, BlockLadder, _estimate_rows
 from .series import ReturnSeries
 
 __all__ = [
@@ -50,10 +49,6 @@ class RollingProtocol:
             raise ValueError(
                 f"block size {smallest} too small for an order-{self.detrend_order} fit")
 
-    def estimate(self, values: np.ndarray) -> HurstEstimate:
-        return next(_estimate_rows(np.reshape(values, (1, -1)), self.ladder, self.estimator,
-                                   self.detrend_order))
-
 
 @dataclass(frozen=True, eq=False)
 class RollingResult:
@@ -87,8 +82,8 @@ def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingRe
     offsets = window_offsets(values.size, protocol.window, protocol.step)
     starts = tuple(dates[off] for off in offsets)
     ends = tuple(dates[off + last] for off in offsets)
-    estimates = _estimate_rows(sliding_window_view(values, protocol.window)[::protocol.step],
-                               protocol.ladder, protocol.estimator, protocol.detrend_order)
+    estimates = _estimate_rows(values, protocol.window, protocol.step, protocol.ladder,
+                               protocol.estimator, protocol.detrend_order)
     h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
     for i in range(len(offsets)):
         try:

@@ -2,9 +2,10 @@
 
 ``tests/test_golden.py`` replays every case in ``CASES`` and compares what
 it prints and writes with the files under ``expected/``. Run this script
-only when an output is meant to change; it rewrites ``expected/``:
+only when an output is meant to change. Named cases are rewritten alone;
+with no name, every case is, and ``expected/`` is rebuilt:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [CASE ...]
 
 The inputs under ``inputs/`` are committed, not generated, so a change to
 the fGn generator cannot move them. They were made once:
@@ -29,6 +30,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 from click.testing import CliRunner
 
@@ -88,9 +90,15 @@ def run_case(name: str, work: Path) -> dict[str, bytes]:
     return produced
 
 
-def regenerate() -> None:
-    shutil.rmtree(EXPECTED, ignore_errors=True)
-    for name in CASES:
+def regenerate(names: Sequence[str] = ()) -> None:
+    """Rewrite the expected outputs of the named cases, or of every case."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise ValueError(f"unknown golden case(s): {', '.join(unknown)}")
+    if not names:
+        shutil.rmtree(EXPECTED, ignore_errors=True)
+    for name in names or CASES:
+        shutil.rmtree(EXPECTED / name, ignore_errors=True)
         with tempfile.TemporaryDirectory() as work:
             for rel, data in run_case(name, Path(work)).items():
                 target = EXPECTED / name / rel
@@ -100,4 +108,7 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    try:
+        regenerate(sys.argv[1:])
+    except ValueError as exc:
+        sys.exit(f"regen: {exc}")

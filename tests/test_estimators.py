@@ -55,9 +55,9 @@ class TestBlockLadder:
 
 
 def rs_statistic(values):
-    """The R/S statistic of one block: ``_mean_rs`` over the whole series."""
+    """The R/S statistic of one block: one window made of one block, floor 0."""
     x = np.asarray(values, dtype=float)
-    return estimators._mean_rs(x, x.size)
+    return estimators._shared_mean_rs(x, np.zeros(1, dtype=int), x.size, x.size, np.zeros(1))[0]
 
 
 class TestRsStatistic:

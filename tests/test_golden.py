@@ -6,11 +6,12 @@ import math
 
 import pytest
 
+from golden import regen
 from golden.regen import CASES, EXPECTED, run_case
 
 
-def expected_files(name):
-    root = EXPECTED / name
+def expected_files(name, expected=EXPECTED):
+    root = expected / name
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -44,3 +45,32 @@ def test_golden_case(tmp_path, name):
             assert_json_close(json.loads(got[rel]), json.loads(data), rel)
         else:
             assert got[rel].decode() == data.decode(), rel
+
+
+def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch):
+    expected = tmp_path / "expected"
+    for name in ("hurst", "describe"):
+        (expected / name).mkdir(parents=True)
+        (expected / name / "stale").write_bytes(b"old")
+    monkeypatch.setattr(regen, "EXPECTED", expected)
+    regen.regenerate(["hurst"])
+    assert expected_files("hurst", expected) == expected_files("hurst")
+    assert expected_files("describe", expected) == {"stale": b"old"}
+
+
+def test_regen_without_names_rewrites_every_case(tmp_path, monkeypatch):
+    expected = tmp_path / "expected"
+    (expected / "removed_case").mkdir(parents=True)
+    monkeypatch.setattr(regen, "EXPECTED", expected)
+    monkeypatch.setattr(regen, "CASES", {name: CASES[name] for name in ("hurst", "describe")})
+    regen.regenerate()
+    assert sorted(p.name for p in expected.iterdir()) == ["describe", "hurst"]
+    for name in ("hurst", "describe"):
+        assert expected_files(name, expected) == expected_files(name)
+
+
+def test_regen_rejects_an_unknown_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(regen, "EXPECTED", tmp_path)
+    with pytest.raises(ValueError, match="unknown golden case.*: nope"):
+        regen.regenerate(["hurst", "nope"])
+    assert not any(tmp_path.iterdir())

@@ -1,8 +1,12 @@
-"""The stacked-window estimator against the per-window path it replaced.
+"""The stacked-window estimator against the per-window paths it replaced.
 
 The oracle below is the earlier code kept as a reference: each window was
 sliced and estimated alone, DFA fitted each block with ``lstsq`` on the raw
 index, and R/S averaged the values of the non-degenerate blocks only.
+
+``reference_mean_rs`` is the R/S statistic the shared-block kernel replaced:
+each window's blocks cut from its own row of a stack of windows. The kernel
+must give the same bits as it, so those tests compare with ``==``.
 """
 
 import tracemalloc
@@ -12,6 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from longmem import estimators
 from longmem.estimators import (
@@ -23,6 +28,7 @@ from longmem.estimators import (
 )
 from longmem.rolling import RollingProtocol, rolling_hurst, window_offsets
 from longmem.series import ReturnSeries
+from longmem.synth import FgnSpec, generate_fgn
 
 
 def oracle_fluctuation(profile, m, order):
@@ -147,7 +153,11 @@ def test_random_shapes_match_oracle(monkeypatch, estimator):
         assert result is not None
         # a window gives the same bits alone as in the stack
         for i, off in enumerate(window_offsets(n, window, step)):
-            alone = protocol.estimate(values[off : off + window])
+            sl = values[off : off + window]
+            if estimator == "rs":
+                alone = hurst_rs(sl, protocol.ladder)
+            else:
+                alone = hurst_dfa(sl, protocol.ladder, order)
             assert (alone.h, alone.r_squared) == (result.h[i], result.r_squared[i])
 
 
@@ -232,3 +242,93 @@ def test_rolling_memory_stays_small(estimator, order):
         tracemalloc.stop()
     assert result.h.size == 2786
     assert peak < 2 * 2**20
+
+
+def reference_mean_rs(x, tau, floor):
+    """Mean R/S over the non-overlapping blocks of length tau along the last
+    axis. A block counts when its range exceeds ``floor`` (one value per row)
+    and its standard deviation stays positive; a row with none gives 0."""
+    nblocks = x.shape[-1] // tau
+    blocks = x[..., : nblocks * tau].reshape(*x.shape[:-1], nblocks, tau)
+    dev = blocks - blocks.mean(axis=-1, keepdims=True)
+    s = np.sqrt(np.mean(dev**2, axis=-1))
+    keep = (s > 0) & (np.ptp(blocks, axis=-1) > np.expand_dims(floor, -1))
+    cum = np.cumsum(dev, axis=-1, out=dev)
+    rs = np.divide(np.ptp(cum, axis=-1), s, out=np.zeros_like(s), where=keep)
+    return rs.sum(axis=-1) / np.maximum(keep.sum(axis=-1), 1)
+
+
+def reference_rolling_rs(returns, protocol):
+    """Rolling R/S h and r² through ``reference_mean_rs`` on stacks of window
+    rows, or the message of the first window that fails."""
+    window, ladder = protocol.window, protocol.ladder
+    rows = sliding_window_view(returns.values, window)[:: protocol.step]
+    per_block = max(1, estimators.CHUNK // window)
+    h, r2 = [], []
+    for first in range(0, len(rows), per_block):
+        block = np.array(rows[first : first + per_block])
+        floor = FLAT_SPREAD * np.maximum(-block.min(axis=-1), block.max(axis=-1))
+        stats = np.stack([reference_mean_rs(block, m, floor) for m in ladder], axis=-1)
+        for i, row in enumerate(stats.tolist(), first):
+            points = [(m, s) for m, s in zip(ladder, row) if s > 0]
+            try:
+                est = estimate_from_points(points, method="rs", ladder=ladder)
+            except ValueError as exc:
+                off = i * protocol.step
+                return (f"window {i + 1} ({returns.dates[off]} to "
+                        f"{returns.dates[off + window - 1]}): {exc}")
+            h.append(est.h)
+            r2.append(est.r_squared)
+    return np.array(h), np.array(r2)
+
+
+def same_as_reference(values, protocol):
+    """Asserts the kernel's rolling h and r² equal the reference's bit for bit,
+    or that both fail with one message; returns whether the run succeeded."""
+    returns = make_returns(values)
+    expected = reference_rolling_rs(returns, protocol)
+    try:
+        result = rolling_hurst(returns, protocol)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return False
+    assert not isinstance(expected, str), expected
+    assert np.array_equal(result.h, expected[0])
+    assert np.array_equal(result.r_squared, expected[1])
+    return True
+
+
+@pytest.fixture(scope="module")
+def paper_series():
+    return generate_fgn(FgnSpec(h=0.6, n=4203, seed=101))
+
+
+@pytest.mark.parametrize("step", [1, 4, 7, 600])
+def test_shared_blocks_equal_reference_at_paper_shape(paper_series, step):
+    assert same_as_reference(paper_series, RollingProtocol(step=step, estimator="rs"))
+
+
+@pytest.mark.parametrize("stale, succeeds", [(300, True), (600, False)])
+def test_shared_blocks_equal_reference_with_stale_returns(paper_series, stale, succeeds):
+    # a run longer than the 500-point window leaves a window with no block
+    values = paper_series.copy()
+    values[1000 : 1000 + stale] = 0.0
+    assert same_as_reference(values, RollingProtocol(estimator="rs")) is succeeds
+
+
+@pytest.mark.parametrize("step", [6, 7])
+def test_shared_blocks_equal_reference_on_repeated_values(step):
+    values = np.repeat(np.random.default_rng(12).standard_normal(700), 6)
+    assert same_as_reference(values, RollingProtocol(step=step, estimator="rs"))
+
+
+def test_shared_blocks_equal_reference_on_random_ladders(paper_series):
+    rng = np.random.default_rng(1969)
+    for _ in range(12):
+        count = int(rng.integers(3, 13))
+        sizes = sorted(int(m) for m in rng.choice(np.arange(4, 251), count, replace=False))
+        window = int(rng.integers(2 * sizes[-1], 701))
+        step = int(rng.integers(1, 30))
+        protocol = RollingProtocol(window=window, step=step, estimator="rs",
+                                   ladder=BlockLadder(sizes))
+        assert same_as_reference(paper_series[:2000], protocol)
