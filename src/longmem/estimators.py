@@ -34,7 +34,7 @@ METHOD_RS = "rs"
 # A window's floor, as a fraction of its largest magnitude: a DFA fluctuation or R/S
 # block range at or under it is rounding (stale zero returns, fixed-rate accrual).
 FLAT_SPREAD = 1e-9
-CHUNK = 1 << 14  # DFA runs a chunk of windows through the ladder this many values at a time
+CHUNK = 1 << 14  # a chunk of windows spans about twice this many window values
 
 
 @dataclass(frozen=True)
@@ -153,49 +153,47 @@ def _estimate_rows(values: np.ndarray, window: int, step: int, ladder: BlockLadd
                    method: str, order: int = 1) -> Iterator[HurstEstimate]:
     """One estimate per window of ``values``: ``window`` points starting every
     ``step`` points from the first. Each is fit to the sizes of ``ladder`` (the
-    default when None) that clear the window's floor, ``FLAT_SPREAD`` of its
-    largest magnitude: a DFA fluctuation above it, or an R/S block range above
-    it in at least one block. Each step is element-wise or a sum along a row,
-    so a window gives the same bits alone or among others."""
+    default when None) where ``_shared_blocks`` finds a statistic above the
+    window's floor, ``FLAT_SPREAD`` of its largest magnitude. Each step is
+    element-wise or a sum along a row, so a window gives the same bits alone or
+    among others."""
     ladder = BlockLadder.default() if ladder is None else ladder
     ladder.check_series_length(window)
     order = order if method == METHOD_DFA else None
     windows = sliding_window_view(values, window)[::step]
-    if method == METHOD_DFA:
-        per_chunk = max(1, CHUNK // window)
-    else:  # R/S copies only a chunk's distinct blocks; its map of block starts grows with step
-        per_chunk = max(1, 2 * CHUNK // max(window, step))
+    per_chunk = max(1, 2 * CHUNK // max(window, step))  # the map of block starts grows with step
     for first in range(0, len(windows), per_chunk):
         chunk = windows[first : first + per_chunk]
         floor = FLAT_SPREAD * np.maximum(-chunk.min(axis=-1), chunk.max(axis=-1))
-        if method == METHOD_DFA:
-            profile = dfa_profile(np.array(chunk))
-            stats = np.stack([dfa_fluctuation(profile, m, order) for m in ladder], axis=-1)
-            counts = stats > floor[:, None]
-        else:
-            starts = step * np.arange(first, first + len(chunk))
-            stats = np.stack([_shared_mean_rs(values, starts, window, m, floor)
-                              for m in ladder], axis=-1)
-            counts = stats > 0
-        for row, keep in zip(stats.tolist(), counts.tolist()):
-            points = [(m, s) for m, s, k in zip(ladder, row, keep) if k]
+        starts = step * np.arange(first, first + len(chunk))
+        stats = np.stack([_shared_blocks(values, starts, window, m, floor, order)
+                          for m in ladder], axis=-1)
+        for row in stats.tolist():
+            points = [(m, s) for m, s in zip(ladder, row) if s > 0]
             yield estimate_from_points(points, method=method, ladder=ladder,
                                        detrend_order=order)
 
 
-def _shared_mean_rs(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
-                    floor: np.ndarray) -> np.ndarray:
-    """Mean R/S over the non-overlapping tau-blocks of each window of ``x``
-    that starts at ``starts`` (increasing, evenly spaced). A block counts when
-    its range exceeds the window's ``floor`` and its standard deviation stays
-    positive; a window with none gives 0. Each distinct block is computed once,
-    as a row, and shared by every window that holds it."""
+def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
+                   floor: np.ndarray, order: int | None = None) -> np.ndarray:
+    """The statistic at size tau of each window of ``x`` that starts at
+    ``starts`` (increasing, evenly spaced). Each distinct tau-block is computed
+    once, as a row, and shared by every window that holds it. With ``order``,
+    DFA: each block's own profile is detrended (an order >= 1 fit removes the
+    affine term by which it differs from the window's profile), and F, the root
+    mean of the window's block residuals, counts above ``floor``. Without, R/S:
+    the mean over blocks whose range exceeds ``floor`` and whose standard
+    deviation stays positive. A window with nothing that counts gives 0."""
     # block k of window i starts at starts[i] + k * tau; index[i, k] is its row
     at = (starts - starts[0])[:, None] + tau * np.arange(window // tau)
     present = np.zeros(at[-1, -1] + 1, dtype=bool)
     present[at] = True
     index = np.cumsum(present).take(at) - 1
     blocks = sliding_window_view(x, tau)[starts[0] + np.flatnonzero(present)]
+    if order is not None:
+        f = dfa_fluctuation(np.cumsum(blocks, axis=-1, out=blocks), tau, order)
+        f = np.sqrt((f * f).take(index).mean(axis=-1))
+        return np.where(f > floor, f, 0.0)
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
     s = np.sqrt(np.mean(dev**2, axis=-1))
     spread = np.ptp(blocks, axis=-1)
@@ -261,9 +259,10 @@ def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,
               order: int = 1) -> HurstEstimate:
     """Hurst exponent via detrended fluctuation analysis.
 
-    Builds the profile, evaluates the fluctuation function at every ladder
-    size, drops sizes whose fluctuation is rounding, and regresses log F on
-    log m. Raises if fewer than 3 sizes survive.
+    At every ladder size, detrends the profile of each non-overlapping block
+    (the one-window case of the rolling kernel), drops sizes whose fluctuation
+    is rounding, and regresses log F on log m. Raises if fewer than 3 sizes
+    survive.
     """
     if order < 1:
         raise ValueError("DFA detrend order must be >= 1")

@@ -143,12 +143,14 @@ def parse_input_spec(spec: str) -> tuple[Path, str]:
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    """Flat ``key = value`` config format; '#' starts a comment line."""
+    """Flat ``key = value`` config format; '#' starts a comment line, and a key
+    may appear once."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -156,8 +158,22 @@ def load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise PipelineError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise PipelineError(f"{path}:{lineno}: duplicate key {key!r} "
+                                f"(first on line {first_line[key]})")
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
+
+
+def _iso_date(text: str) -> Date:
+    """A ``YYYY-MM-DD`` date, the one form ``date.fromisoformat`` takes on every
+    supported Python (3.11 also takes ``20010103`` and ``2001-W01-2``); it
+    checks the digits once the shape is right."""
+    if len(text) != 10 or not text.isascii() or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
+    return Date.fromisoformat(text)
 
 
 def _items(value: str) -> list[str]:
@@ -174,8 +190,8 @@ _SETTINGS = {
     "ladder": (lambda v: tuple(int(s) for s in v.split(",")), "INTS",
                "Comma-separated block sizes [default: 4,8,16,32,64,128]."),
     "detrend_order": (int, "INT", "DFA polynomial order [default: 1]."),
-    "split_date": (Date.fromisoformat, "DATE",
-                   "ISO date splitting the subsamples [default: 2008-09-15]."),
+    "split_date": (_iso_date, "DATE",
+                   "YYYY-MM-DD date splitting the subsamples [default: 2008-09-15]."),
     "split_by": (str, "start|end", "Classify windows by start or end date [default: start]."),
     "confidence_level": (float, "FLOAT", "One-sided t confidence level, in (0.5, 1), "
                          "for the bounds [default: 0.999]."),
@@ -204,7 +220,7 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
 
     The header row must name ``date`` and ``price`` columns; '#' lines are
     comments; a leading UTF-8 byte order mark is ignored. Rows must be
-    ISO-8601 dated, strictly increasing, with positive decimal prices;
+    dated ``YYYY-MM-DD``, strictly increasing, with positive decimal prices;
     violations are rejected with the physical row number.
     """
     path = Path(path)
@@ -239,7 +255,7 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
                 if len(cells) < width:
                     raise ValueError(f"expected at least {width} columns")
                 try:
-                    d = Date.fromisoformat(cells[date_idx].strip())
+                    d = _iso_date(cells[date_idx].strip())
                 except ValueError as exc:
                     raise ValueError(f"unparsable date {cells[date_idx]!r}") from exc
                 raw_price = cells[price_idx].strip()

@@ -57,7 +57,7 @@ class TestBlockLadder:
 def rs_statistic(values):
     """The R/S statistic of one block: one window made of one block, floor 0."""
     x = np.asarray(values, dtype=float)
-    return estimators._shared_mean_rs(x, np.zeros(1, dtype=int), x.size, x.size, np.zeros(1))[0]
+    return estimators._shared_blocks(x, np.zeros(1, dtype=int), x.size, x.size, np.zeros(1))[0]
 
 
 class TestRsStatistic:
@@ -249,6 +249,12 @@ class TestHurstDfa:
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             hurst_dfa(np.arange(512.0), PAPER_LADDER, order=0)
+
+    def test_block_too_small_for_order_rejected(self):
+        # a size needs order + 2 points; the direct call checks it as the CLI does
+        x = generate_gaussian(512, seed=4)
+        with pytest.raises(ValueError, match="^block size 4 too small for an order-3 fit$"):
+            hurst_dfa(x, BlockLadder((4, 8, 16, 32)), order=3)
 
 
 class TestHurstEstimate:

@@ -7,12 +7,18 @@ index, and R/S averaged the values of the non-degenerate blocks only.
 ``reference_mean_rs`` is the R/S statistic the shared-block kernel replaced:
 each window's blocks cut from its own row of a stack of windows. The kernel
 must give the same bits as it, so those tests compare with ``==``.
+``reference_rolling_dfa`` is the stacked-row DFA it replaced: one profile per
+window row, every block of every row refitted. There the kernel detrends each
+block's own profile instead, which changes only rounding, so those tests
+allow 1e-14 relative on the statistics, and 1e-14 on h and r² times what the
+ladder's fit can scale it by.
 """
 
 import tracemalloc
 import warnings
 from datetime import date, timedelta
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +28,15 @@ from longmem import estimators
 from longmem.estimators import (
     FLAT_SPREAD,
     BlockLadder,
+    dfa_fluctuation,
+    dfa_profile,
     estimate_from_points,
     hurst_dfa,
     hurst_rs,
 )
+from longmem.pipeline import ingest_csv
 from longmem.rolling import RollingProtocol, rolling_hurst, window_offsets
-from longmem.series import ReturnSeries
+from longmem.series import ReturnSeries, log_returns
 from longmem.synth import FgnSpec, generate_fgn
 
 
@@ -332,3 +341,111 @@ def test_shared_blocks_equal_reference_on_random_ladders(paper_series):
         protocol = RollingProtocol(window=window, step=step, estimator="rs",
                                    ladder=BlockLadder(sizes))
         assert same_as_reference(paper_series[:2000], protocol)
+
+
+def reference_rolling_dfa(returns, protocol):
+    """Rolling DFA on stacks of ``CHUNK // window`` window rows: one profile per
+    row, then ``dfa_fluctuation`` per size, kept above the row's floor. Returns
+    the kept points of each window, then h and r², or then the message of the
+    first window that fails."""
+    window, ladder, order = protocol.window, protocol.ladder, protocol.detrend_order
+    rows = sliding_window_view(returns.values, window)[:: protocol.step]
+    per_block = max(1, estimators.CHUNK // window)
+    kept, h, r2 = [], [], []
+    for first in range(0, len(rows), per_block):
+        block = np.array(rows[first : first + per_block])
+        floor = FLAT_SPREAD * np.maximum(-block.min(axis=-1), block.max(axis=-1))
+        profile = dfa_profile(block)
+        stats = np.stack([dfa_fluctuation(profile, m, order) for m in ladder], axis=-1)
+        for i, (row, limit) in enumerate(zip(stats.tolist(), floor.tolist()), first):
+            points = [(m, s) for m, s in zip(ladder, row) if s > limit]
+            kept.append(points)
+            try:
+                est = estimate_from_points(points, method="dfa", ladder=ladder,
+                                           detrend_order=order)
+            except ValueError as exc:
+                off = i * protocol.step
+                return kept, (f"window {i + 1} ({returns.dates[off]} to "
+                              f"{returns.dates[off + window - 1]}): {exc}")
+            h.append(est.h)
+            r2.append(est.r_squared)
+    return kept, np.array(h), np.array(r2)
+
+
+def fit_gain(ladder):
+    """The most a slope fit on the ladder's log sizes can scale an error that
+    is at most 1 in every log statistic: sum |x - mean| / sum (x - mean)²."""
+    x = np.log(ladder.sizes)
+    return float(np.sum(np.abs(x - x.mean())) / np.sum((x - x.mean()) ** 2))
+
+
+def close_to_reference_dfa(monkeypatch, values, protocol):
+    """Asserts the kernel keeps the reference's sizes in every window with the
+    same statistics to 1e-14 relative, and fails with its message or gives its
+    h and r² to 1e-14. Returns whether the run succeeded.
+
+    Clustered sizes, such as 144, 147 and 153, let the fit scale the rounding
+    in F up to ``fit_gain`` times, so h and r² get that much more room."""
+    returns = make_returns(values)
+    expected_kept, *expected = reference_rolling_dfa(returns, protocol)
+    kept = []
+    fit = estimators.estimate_from_points
+
+    def record(points, **kwargs):
+        points = list(points)
+        kept.append(points)
+        return fit(points, **kwargs)
+
+    monkeypatch.setattr(estimators, "estimate_from_points", record)
+    try:
+        result = rolling_hurst(returns, protocol)
+    except ValueError as exc:
+        result = None
+        assert [str(exc)] == expected
+    finally:
+        monkeypatch.undo()
+    assert [[m for m, _ in p] for p in kept] == [[m for m, _ in p] for p in expected_kept]
+    for got, want in zip(kept, expected_kept):
+        assert np.allclose([s for _, s in got], [s for _, s in want], rtol=1e-14, atol=0)
+    if result is None:
+        return False
+    assert len(expected) == 2, expected[0]
+    tolerance = 1e-14 * max(1.0, fit_gain(protocol.ladder))
+    assert np.max(np.abs(result.h - expected[0])) <= tolerance
+    assert np.max(np.abs(result.r_squared - expected[1])) <= tolerance
+    return True
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("step", [1, 7, 600])
+def test_shared_dfa_blocks_match_reference_at_paper_shape(monkeypatch, paper_series,
+                                                          step, order):
+    protocol = RollingProtocol(step=step, detrend_order=order)
+    assert close_to_reference_dfa(monkeypatch, paper_series, protocol)
+
+
+@pytest.mark.parametrize("stale, succeeds", [(300, True), (600, False)])
+def test_shared_dfa_blocks_match_reference_with_stale_returns(monkeypatch, paper_series,
+                                                              stale, succeeds):
+    values = paper_series.copy()
+    values[1000 : 1000 + stale] = 0.0
+    assert close_to_reference_dfa(monkeypatch, values, RollingProtocol()) is succeeds
+
+
+def test_shared_dfa_blocks_match_reference_on_accrual(monkeypatch):
+    # the golden accrual input: windows 44-53 hold three 128-blocks of accrual
+    prices = ingest_csv(Path(__file__).parent / "golden" / "inputs" / "accrual.csv")
+    values = log_returns(prices).values
+    assert close_to_reference_dfa(monkeypatch, values, RollingProtocol())
+
+
+def test_shared_dfa_blocks_match_reference_on_random_ladders(monkeypatch, paper_series):
+    rng = np.random.default_rng(1994)
+    for _ in range(12):
+        count = int(rng.integers(3, 13))
+        sizes = sorted(int(m) for m in rng.choice(np.arange(4, 251), count, replace=False))
+        window = int(rng.integers(2 * sizes[-1], 701))
+        step = int(rng.integers(1, 30))
+        protocol = RollingProtocol(window=window, step=step, ladder=BlockLadder(sizes),
+                                   detrend_order=int(rng.integers(1, 3)))
+        assert close_to_reference_dfa(monkeypatch, paper_series[:2000], protocol)

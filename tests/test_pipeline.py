@@ -89,6 +89,14 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="row 2"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("cell", ["20200103", "2020-W01-5"])
+    def test_only_yyyy_mm_dd_dates_accepted(self, tmp_path, cell):
+        # both name 2020-01-03 to Python 3.11's date.fromisoformat, not to 3.10's
+        p = write_prices(tmp_path / "t.csv", ["2020-01-02,100", f"{cell},101"])
+        message = f"{p}: row 3: unparsable date {cell!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_csv(p)
+
     def test_blank_price_is_hard_error(self, tmp_path):
         p = write_prices(tmp_path / "t.csv", ["2020-01-02,100", "2020-01-03,"])
         with pytest.raises(ValueError, match="blank price"):
@@ -222,6 +230,12 @@ class TestRunConfig:
     def test_protocol_validated_at_load_time(self):
         with pytest.raises(PipelineError, match="twice the largest"):
             RunConfig(window=100)
+
+    @pytest.mark.parametrize("value", ["20080915", "2008-W38-1"])
+    def test_split_date_takes_only_yyyy_mm_dd(self, value):
+        # the date form the price files take, on every supported Python
+        with pytest.raises(PipelineError, match=f"expected YYYY-MM-DD, got '{value}'"):
+            config_from_mapping({"split_date": value})
 
     def test_bad_formats_rejected(self):
         with pytest.raises(PipelineError, match="unknown formats"):
@@ -587,6 +601,16 @@ class TestCli:
         assert f"error: big: {big}: row 3: field larger than field limit" in res.stderr
         assert (out / "serie_report.json").exists()
         assert not (out / "big_stats.json").exists()
+
+    def test_duplicate_config_key_exits_one(self, tmp_path, synth_file):
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text("window = 500\n# a longer window\nwindow = 1024\n")
+        out = tmp_path / "o"
+        res = self.invoke("run", str(synth_file), "--config", str(cfg_file),
+                          "--output-dir", str(out))
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {cfg_file}:3: duplicate key 'window' (first on line 1)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("make", [
         lambda p: p.write_bytes(b"window = 5\xff00\n"),
