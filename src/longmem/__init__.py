@@ -35,7 +35,7 @@ from .stattests import (
 )
 from .synth import FgnSpec, generate_fgn, generate_gaussian, powerlaw_fixture
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the one statement of the version; pyproject.toml reads it
 
 __all__ = [
     "DEFAULT_LADDER_SIZES",

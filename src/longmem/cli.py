@@ -8,6 +8,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .estimators import METHOD_RS, hurst_dfa, hurst_rs
 from .pipeline import (
     _SETTINGS,
@@ -68,7 +69,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="longmem")
+@click.version_option(version=__version__)
 def main() -> None:
     """Long-memory analysis of financial return series.
 
@@ -100,17 +101,16 @@ def describe_cmd(ctx: click.Context, inputs) -> None:
 def hurst_cmd(ctx: click.Context, inputs, **flags) -> None:
     """Whole-series Hurst estimate for each file."""
     _require_inputs(ctx, inputs)
-    # a whole-series estimate has no rolling window: an unbounded one keeps
-    # the window rule out, and the estimator checks the series length
+    # the whole series is the one window: an unbounded window passes the
+    # window rule here, and the estimator applies it to the series length
     cfg = _build_config(inputs, window=str(sys.maxsize), **flags)
-    protocol = cfg.protocol()
 
     def show(prices) -> None:
         returns = log_returns(prices).values
-        if protocol.estimator == METHOD_RS:
-            h = hurst_rs(returns, protocol.ladder)
+        if cfg.estimator == METHOD_RS:
+            h = hurst_rs(returns, cfg.ladder)
         else:
-            h = hurst_dfa(returns, protocol.ladder, protocol.detrend_order)
+            h = hurst_dfa(returns, cfg.ladder, cfg.detrend_order)
         click.echo(
             f"{prices.id}: h={h.h:.6f} r_squared={h.r_squared:.6f} "
             f"method={h.method} points={len(h.points)}"

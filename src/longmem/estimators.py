@@ -16,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "DEFAULT_LADDER_SIZES",
     "BlockLadder",
+    "RollingProtocol",
     "HurstEstimate",
     "fit_power_law",
     "estimate_from_points",
@@ -43,8 +44,8 @@ class BlockLadder:
 
     Each size must be at least 4 and there must be at least 3 sizes so the
     log-log regression has a residual degree of freedom. The largest size may
-    not exceed half the series length; that check is relative to a series and
-    happens in :meth:`check_series_length`.
+    not exceed half the window it is applied to; :class:`RollingProtocol`
+    checks that, for a rolling window or a whole series alike.
     """
 
     sizes: tuple[int, ...]
@@ -67,18 +68,41 @@ class BlockLadder:
     def max_size(self) -> int:
         return self.sizes[-1]
 
-    def check_series_length(self, n: int) -> None:
-        if self.max_size > n // 2:
-            raise ValueError(
-                f"largest ladder size {self.max_size} exceeds half the "
-                f"series length ({n} points)"
-            )
-
     def __iter__(self):
         return iter(self.sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+
+@dataclass(frozen=True)
+class RollingProtocol:
+    """Fixed-length windows advanced by a fixed step, one estimate per window: the
+    one owner of the estimator settings, their defaults and their checks. A
+    whole-series estimate is the one-window case (``window`` the series length)."""
+
+    window: int = 500
+    step: int = 7
+    estimator: str = METHOD_DFA
+    ladder: BlockLadder = field(default_factory=BlockLadder.default)
+    detrend_order: int = 1
+
+    def __post_init__(self) -> None:
+        if self.estimator not in (METHOD_DFA, METHOD_RS):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.step < 1:
+            raise ValueError("step must be >= 1")
+        if self.window < 2 * self.ladder.max_size:
+            raise ValueError(
+                f"window {self.window} must be at least twice the largest "
+                f"ladder size ({self.ladder.max_size})"
+            )
+        if self.detrend_order < 1:
+            raise ValueError("detrend_order must be >= 1")
+        smallest = self.ladder.sizes[0]
+        if self.estimator == METHOD_DFA and smallest < self.detrend_order + 2:
+            raise ValueError(
+                f"block size {smallest} too small for an order-{self.detrend_order} fit")
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, float]:
@@ -149,17 +173,15 @@ def estimate_from_points(
     return HurstEstimate(method, detrend_order, ladder, pts)
 
 
-def _estimate_rows(values: np.ndarray, window: int, step: int, ladder: BlockLadder | None,
-                   method: str, order: int = 1) -> Iterator[HurstEstimate]:
-    """One estimate per window of ``values``: ``window`` points starting every
-    ``step`` points from the first. Each is fit to the sizes of ``ladder`` (the
-    default when None) where ``_shared_blocks`` finds a statistic above the
-    window's floor, ``FLAT_SPREAD`` of its largest magnitude. Each step is
-    element-wise or a sum along a row, so a window gives the same bits alone or
-    among others."""
-    ladder = BlockLadder.default() if ladder is None else ladder
-    ladder.check_series_length(window)
-    order = order if method == METHOD_DFA else None
+def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[HurstEstimate]:
+    """One estimate per window of ``values`` under ``protocol``, whose checks
+    have passed: ``window`` points starting every ``step`` points from the
+    first. Each is fit to the ladder sizes where ``_shared_blocks`` finds a
+    statistic above the window's floor, ``FLAT_SPREAD`` of its largest
+    magnitude. Each step is element-wise or a sum along a row, so a window
+    gives the same bits alone or among others."""
+    window, step, ladder = protocol.window, protocol.step, protocol.ladder
+    order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
     windows = sliding_window_view(values, window)[::step]
     per_chunk = max(1, 2 * CHUNK // max(window, step))  # the map of block starts grows with step
     for first in range(0, len(windows), per_chunk):
@@ -170,7 +192,7 @@ def _estimate_rows(values: np.ndarray, window: int, step: int, ladder: BlockLadd
                           for m in ladder], axis=-1)
         for row in stats.tolist():
             points = [(m, s) for m, s in zip(ladder, row) if s > 0]
-            yield estimate_from_points(points, method=method, ladder=ladder,
+            yield estimate_from_points(points, method=protocol.estimator, ladder=ladder,
                                        detrend_order=order)
 
 
@@ -213,9 +235,11 @@ def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEsti
     rescaled range is averaged across the non-degenerate blocks, and the
     exponent is the slope of log(mean R/S) on log(size). Blocks whose range is
     rounding are skipped, sizes with none dropped; fewer than 3 survivors raise.
+    The series is the one window of a :class:`RollingProtocol`, which checks it.
     """
     values = np.asarray(x, dtype=float).reshape(-1)
-    return next(_estimate_rows(values, values.size, 1, ladder, METHOD_RS))
+    protocol = RollingProtocol(values.size, 1, METHOD_RS, ladder or BlockLadder.default())
+    return next(_estimate_rows(values, protocol))
 
 
 def dfa_profile(y: Sequence[float]) -> np.ndarray:
@@ -262,9 +286,9 @@ def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,
     At every ladder size, detrends the profile of each non-overlapping block
     (the one-window case of the rolling kernel), drops sizes whose fluctuation
     is rounding, and regresses log F on log m. Raises if fewer than 3 sizes
-    survive.
+    survive. The series is the one window of a :class:`RollingProtocol`, which
+    checks it with ``order``.
     """
-    if order < 1:
-        raise ValueError("DFA detrend order must be >= 1")
     values = np.asarray(y, dtype=float).reshape(-1)
-    return next(_estimate_rows(values, values.size, 1, ladder, METHOD_DFA, order))
+    protocol = RollingProtocol(values.size, 1, METHOD_DFA, ladder or BlockLadder.default(), order)
+    return next(_estimate_rows(values, protocol))

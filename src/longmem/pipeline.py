@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import DEFAULT_LADDER_SIZES, BlockLadder
+from .estimators import BlockLadder
 from .rolling import (
     WINDOW_COUNT_RULE,
     RollingProtocol,
@@ -68,17 +68,13 @@ class PipelineError(Exception):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Full pipeline configuration; the defaults replay the reference protocol
-    (two-year window of 500 datapoints advanced by 7, DFA-1 over the
-    octave ladder, split at 2008-09-15, 0.999 confidence level)."""
+class RunConfig(RollingProtocol):
+    """Full pipeline configuration: the rolling protocol it extends (two-year
+    window of 500 datapoints advanced by 7, DFA-1 over the octave ladder),
+    then the inputs, the split (2008-09-15), the 0.999 confidence level and
+    the outputs. ``ladder`` may be given as a tuple of sizes."""
 
     inputs: tuple[tuple[Path, str], ...] = ()
-    estimator: str = "dfa"
-    window: int = 500
-    step: int = 7
-    ladder: tuple[int, ...] = DEFAULT_LADDER_SIZES
-    detrend_order: int = 1
     split_date: Date = DEFAULT_SPLIT_DATE
     split_by: str = "start"
     confidence_level: float = 0.999
@@ -107,18 +103,9 @@ class RunConfig:
             raise PipelineError("confidence_level must lie in (0.5, 1)")
         if self.split_by not in ("start", "end"):
             raise PipelineError("split_by must be 'start' or 'end'")
-        # window/step/ladder validated together at load time
-        self.protocol()
-
-    def protocol(self) -> RollingProtocol:
-        try:
-            return RollingProtocol(
-                window=self.window,
-                step=self.step,
-                estimator=self.estimator,
-                ladder=BlockLadder(self.ladder),
-                detrend_order=self.detrend_order,
-            )
+        try:  # the protocol's settings are checked at load time
+            object.__setattr__(self, "ladder", BlockLadder(tuple(self.ladder)))
+            super().__post_init__()
         except ValueError as exc:
             raise PipelineError(str(exc)) from exc
 
@@ -143,10 +130,10 @@ def parse_input_spec(spec: str) -> tuple[Path, str]:
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    """Flat ``key = value`` config format; '#' starts a comment line, and a key
-    may appear once."""
+    """Flat ``key = value`` config format in UTF-8 (a leading byte order mark
+    is ignored); '#' starts a comment line, and a key may appear once."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
@@ -296,7 +283,7 @@ def _write_files(files: dict[Path, str]) -> None:
             tmp = f"{path}.{os.urandom(4).hex()}.tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(data)
         for tmp, path in zip(tmps, files):
             os.replace(tmp, path)
@@ -375,13 +362,12 @@ def analyse_series(prices: PriceSeries, config: RunConfig) -> SeriesAnalysis:
     """Log returns, rolling Hurst estimates, the split, and the test battery."""
     returns = log_returns(prices)
     rets_stats = describe(returns.values)
-    proto = config.protocol()
-    result = rolling_hurst(returns, proto)
+    result = rolling_hurst(returns, config)
     if result.h.size < 4:  # describe needs 4 observations
         raise ValueError(
             f"{result.h.size} rolling windows, fewer than the 4 needed: window "
-            f"{proto.window} at step {proto.step} needs at least "
-            f"{proto.window + 3 * proto.step} returns, the series has {len(returns)}"
+            f"{config.window} at step {config.step} needs at least "
+            f"{config.window + 3 * config.step} returns, the series has {len(returns)}"
         )
     hurst_stats = describe(result.h)
     before, after = split_at(result, config.split_date, by=config.split_by)

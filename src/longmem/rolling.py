@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
 
-from .estimators import METHOD_DFA, METHOD_RS, BlockLadder, _estimate_rows
+from .estimators import RollingProtocol, _estimate_rows
 from .series import ReturnSeries
 
 __all__ = [
@@ -20,34 +20,6 @@ __all__ = [
 ]
 
 WINDOW_COUNT_RULE = "floor((N - window) / step) + 1"
-
-
-@dataclass(frozen=True)
-class RollingProtocol:
-    """Fixed-length windows advanced by a fixed step, one estimate per window."""
-
-    window: int = 500
-    step: int = 7
-    estimator: str = METHOD_DFA
-    ladder: BlockLadder = field(default_factory=BlockLadder.default)
-    detrend_order: int = 1
-
-    def __post_init__(self) -> None:
-        if self.estimator not in (METHOD_DFA, METHOD_RS):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        if self.window < 2 * self.ladder.max_size:
-            raise ValueError(
-                f"window {self.window} must be at least twice the largest "
-                f"ladder size ({self.ladder.max_size})"
-            )
-        if self.detrend_order < 1:
-            raise ValueError("detrend_order must be >= 1")
-        smallest = self.ladder.sizes[0]
-        if self.estimator == METHOD_DFA and smallest < self.detrend_order + 2:
-            raise ValueError(
-                f"block size {smallest} too small for an order-{self.detrend_order} fit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +54,7 @@ def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingRe
     offsets = window_offsets(values.size, protocol.window, protocol.step)
     starts = tuple(dates[off] for off in offsets)
     ends = tuple(dates[off + last] for off in offsets)
-    estimates = _estimate_rows(values, protocol.window, protocol.step, protocol.ladder,
-                               protocol.estimator, protocol.detrend_order)
+    estimates = _estimate_rows(values, protocol)
     h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
     for i in range(len(offsets)):
         try:

@@ -48,10 +48,13 @@ class TestBlockLadder:
             BlockLadder((4, 8, 8))
 
     def test_max_size_relative_to_series(self):
+        # the whole series is one window, which holds twice the largest size
         lad = BlockLadder((4, 8, 16))
-        lad.check_series_length(32)
-        with pytest.raises(ValueError, match="half the"):
-            lad.check_series_length(31)
+        x = generate_gaussian(32, seed=2)
+        assert len(hurst_rs(x, lad).points) == 3
+        with pytest.raises(ValueError, match=r"^window 31 must be at least twice the "
+                                             r"largest ladder size \(16\)$"):
+            hurst_rs(x[:31], lad)
 
 
 def rs_statistic(values):
@@ -135,7 +138,7 @@ class TestHurstRs:
             hurst_rs(np.ones(64), BlockLadder((4, 8, 16)))
 
     def test_ladder_checked_against_length(self):
-        with pytest.raises(ValueError, match="half the"):
+        with pytest.raises(ValueError, match=r"window 100 must be at least twice .* \(64\)"):
             hurst_rs(np.arange(100.0), BlockLadder((4, 8, 64)))
 
 

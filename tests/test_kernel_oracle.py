@@ -69,7 +69,7 @@ def oracle_mean_rs(x, tau):
 def oracle_ladder_estimate(x, ladder, method, statistic, detrend_order=None):
     """Returns the kept ladder sizes and the estimate, or the error it raised."""
     arr = np.asarray(x, dtype=float)
-    ladder.check_series_length(arr.size)
+    assert 2 * ladder.max_size <= arr.size, "the ladder must fit the series twice"
     lo, hi = float(arr.min()), float(arr.max())
     points = []
     if hi - lo > FLAT_SPREAD * max(-lo, hi):

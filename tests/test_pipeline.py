@@ -32,7 +32,7 @@ from longmem.pipeline import (
     parse_input_spec,
     run_pipeline,
 )
-from longmem.rolling import window_offsets
+from longmem.rolling import RollingProtocol, window_offsets
 from longmem.series import PriceSeries, log_returns
 from longmem.synth import FgnSpec, generate_fgn
 
@@ -220,7 +220,7 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.window == 500
         assert cfg.step == 7
-        assert cfg.ladder == (4, 8, 16, 32, 64, 128)
+        assert cfg.ladder.sizes == (4, 8, 16, 32, 64, 128)
         assert cfg.detrend_order == 1
         assert cfg.estimator == "dfa"
         assert cfg.split_date == date(2008, 9, 15)
@@ -257,7 +257,7 @@ class TestRunConfig:
         assert cfg.window == 1024
         assert cfg.step == 11
         assert cfg.estimator == "rs"
-        assert cfg.ladder == (8, 16, 32, 64, 128, 256, 512)
+        assert cfg.ladder.sizes == (8, 16, 32, 64, 128, 256, 512)
         assert cfg.split_date == date(2010, 5, 1)
         assert cfg.formats == {"json"}
 
@@ -575,6 +575,48 @@ class TestCli:
             res = self.invoke(command, str(synth_file), "--detrend-order", "3", *flags, *extra)
             assert res.exit_code == 0, res.output
 
+    # one setting that breaks each rule of the rolling protocol; `hurst` takes
+    # no window or step, as the whole series is its one window
+    PROTOCOL_RULES = {
+        "unknown-estimator": {"estimator": "wavelet"},
+        "step-0": {"step": 0},
+        "detrend-order-0": {"detrend_order": 0},
+        "order-3-default-ladder": {"detrend_order": 3},
+        "window-100": {"window": 100},
+    }
+
+    @pytest.mark.parametrize("command, rule", [
+        (command, rule) for rule, settings in PROTOCOL_RULES.items()
+        for command in ("run", "hurst")
+        if command == "run" or settings.keys() <= {"estimator", "detrend_order"}])
+    def test_protocol_rule_reads_as_the_protocol_raises_it(
+        self, tmp_path, synth_file, command, rule
+    ):
+        settings = self.PROTOCOL_RULES[rule]
+        with pytest.raises(ValueError) as raised:
+            RollingProtocol(**settings)
+        flags = [f for key, value in settings.items()
+                 for f in ("--" + key.replace("_", "-"), str(value))]
+        out = tmp_path / "o"
+        extra = ["--output-dir", str(out)] if command == "run" else []
+        res = self.invoke(command, str(synth_file), *flags, *extra)
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {raised.value}\n"
+        assert not out.exists()
+
+    def test_hurst_series_shorter_than_twice_the_ladder_exits_two(self, tmp_path):
+        path = write_prices(tmp_path / "short.csv", [
+            f"{date(2020, 1, 1) + timedelta(days=i)},{100 + (i * 7) % 5}" for i in range(39)])
+        res = self.invoke("hurst", str(path))
+        assert res.exit_code == 2
+        assert res.stderr == ("error: short: window 38 must be at least twice the "
+                              "largest ladder size (128)\n")
+
+    def test_version_from_a_source_checkout(self):
+        res = self.invoke("--version")
+        assert res.exit_code == 0, res.output
+        assert longmem.__version__ in res.output
+
     def test_estimator_flag_is_case_insensitive(self, synth_file):
         upper = self.invoke("hurst", str(synth_file), "--estimator", "DFA")
         lower = self.invoke("hurst", str(synth_file), "--estimator", "dfa")
@@ -611,6 +653,30 @@ class TestCli:
         assert res.exit_code == 1
         assert res.stderr == f"error: {cfg_file}:3: duplicate key 'window' (first on line 1)\n"
         assert not out.exists()
+
+    def test_config_file_with_byte_order_mark(self, tmp_path, synth_file):
+        # editors on Windows save UTF-8 with a leading byte order mark
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_bytes("window = 600\n".encode("utf-8-sig"))
+        out = tmp_path / "o"
+        res = self.invoke("run", str(synth_file), "--config", str(cfg_file),
+                          "--output-dir", str(out), "--split-date", "2001-12-01")
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "serie_stats.json").read_text())["protocol"]["window"] == 600
+
+    def test_config_file_is_utf8_whatever_the_locale(self, tmp_path, synth_file):
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text("# fenêtre élargie\nwindow = 600\n", encoding="utf-8")
+        out = tmp_path / "o"
+        src = str(Path(longmem.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "longmem.cli", "run", str(synth_file), "--config",
+             str(cfg_file), "--output-dir", str(out), "--split-date", "2001-12-01"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "LC_ALL": "POSIX", "PYTHONUTF8": "0"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "serie_stats.json").read_text())["protocol"]["window"] == 600
 
     @pytest.mark.parametrize("make", [
         lambda p: p.write_bytes(b"window = 5\xff00\n"),
