@@ -7,6 +7,7 @@ log(statistic) on log(block size).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -109,22 +110,30 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, 
     """OLS fit of log(value) on log(size); returns (slope, intercept, r_squared).
 
     Needs at least two points with positive sizes and values. ``r_squared`` is
-    1.0 for a horizontal perfect fit (zero total variation).
+    1.0 for a horizontal perfect fit (zero total variation). The arithmetic is
+    on plain floats (``math.log`` and sequential sums), as a fit through a
+    handful of points costs less that way than in numpy calls; it agrees with
+    the same formulas in numpy to a few ulp.
     """
-    pts = np.array(list(points), dtype=float).reshape(-1, 2)
-    if len(pts) < 2:
+    pts = list(points)
+    n = len(pts)
+    if n < 2:
         raise ValueError("power-law fit needs at least 2 points")
-    if np.any(pts <= 0):
+    if any(m <= 0 or v <= 0 for m, v in pts):  # a NaN passes and yields NaN
         raise ValueError("power-law fit needs positive sizes and values")
-    x, y = np.log(pts[:, 0]), np.log(pts[:, 1])
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
+    x = [math.log(m) for m, _ in pts]
+    y = [math.log(v) for _, v in pts]
+    xm, ym = sum(x) / n, sum(y) / n
+    dx = [a - xm for a in x]
+    dy = [b - ym for b in y]
+    sxx = sum([d * d for d in dx])
     if sxx == 0:
         raise ValueError("power-law fit needs at least 2 distinct sizes")
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    intercept = float(ym - slope * xm)
-    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
+    slope = sum([a * b for a, b in zip(dx, dy)]) / sxx
+    intercept = ym - slope * xm
+    res = [b - (intercept + slope * a) for a, b in zip(x, y)]
+    ss_res = sum([r * r for r in res])
+    ss_tot = sum([d * d for d in dy])
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return slope, intercept, min(1.0, max(0.0, r2))
 
@@ -169,7 +178,7 @@ def estimate_from_points(
     detrend_order: int | None = None,
 ) -> HurstEstimate:
     """Build a HurstEstimate by regressing the given scaling points."""
-    pts = tuple((int(m), float(v)) for m, v in points)
+    pts = tuple([(int(m), float(v)) for m, v in points])
     return HurstEstimate(method, detrend_order, ladder, pts)
 
 

@@ -207,7 +207,7 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
 
     The header row must name ``date`` and ``price`` columns; '#' lines are
     comments; a leading UTF-8 byte order mark is ignored. Rows must be
-    dated ``YYYY-MM-DD``, strictly increasing, with positive decimal prices;
+    dated ``YYYY-MM-DD``, strictly increasing, with positive ASCII decimal prices;
     violations are rejected with the physical row number.
     """
     path = Path(path)
@@ -249,6 +249,9 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
                 if raw_price == "":
                     raise ValueError("blank price")
                 try:
+                    # float() also takes '1_000' and non-ASCII digits, such as full-width ones
+                    if not raw_price.isascii() or "_" in raw_price:
+                        raise ValueError
                     p = float(raw_price)
                 except ValueError as exc:
                     raise ValueError(f"unparsable price {raw_price!r}") from exc

@@ -113,6 +113,42 @@ class TestFitPowerLaw:
         assert s2 == pytest.approx(s1, abs=1e-12)
         assert i2 - i1 == pytest.approx(s1 * math.log(2.0), abs=1e-10)
 
+    def test_horizontal_perfect_fit_has_r_squared_one(self):
+        slope, intercept, r2 = fit_power_law([(m, 2.5) for m in (4, 8, 16, 32, 64, 128)])
+        assert (slope, r2) == (0.0, 1.0)
+        assert intercept == pytest.approx(math.log(2.5), abs=1e-15)
+
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.6, 0.7, 1.0])
+    def test_exact_power_law_gives_its_exponent(self, h):
+        slope, _, r2 = fit_power_law(powerlaw_fixture(h, (4, 8, 16, 32, 64, 128)))
+        assert abs(slope - h) <= 1e-15
+        assert r2 == pytest.approx(1.0, abs=1e-15)
+
+    def test_poor_fit_clamps_r_squared_at_zero(self):
+        # the middle point lifts the fit only by rounding: unclamped, r² is -2.2e-16
+        assert fit_power_law([(4, 1.9), (8, 2.8), (16, 1.9)])[2] == 0.0
+
+    def test_nan_value_gives_nan_slope(self):
+        slope, intercept, _ = fit_power_law([(4, float("nan")), (8, 1.0), (16, 2.0)])
+        assert math.isnan(slope) and math.isnan(intercept)
+
+    def test_numpy_array_of_points_accepted(self):
+        points = powerlaw_fixture(0.6, (4, 8, 16, 32, 64, 128))
+        got = fit_power_law(np.array(points))
+        assert got == fit_power_law(points)
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("points, message", [
+        ([], "power-law fit needs at least 2 points"),
+        ([(4, 1.0)], "power-law fit needs at least 2 points"),
+        ([(4, 1.0), (8, -2.0), (16, 3.0)], "power-law fit needs positive sizes and values"),
+        ([(4, 1.0), (0, 2.0), (16, 3.0)], "power-law fit needs positive sizes and values"),
+        ([(8, 1.0), (8, 2.0)], "power-law fit needs at least 2 distinct sizes"),
+    ])
+    def test_bad_points_rejected(self, points, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_power_law(points)
+
 
 class TestHurstRs:
     def test_exact_power_law_recovery(self):

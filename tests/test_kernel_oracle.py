@@ -12,6 +12,10 @@ window row, every block of every row refitted. There the kernel detrends each
 block's own profile instead, which changes only rounding, so those tests
 allow 1e-14 relative on the statistics, and 1e-14 on h and r² times what the
 ladder's fit can scale it by.
+
+``reference_fit_power_law`` is the numpy log-log fit that the plain-float
+``fit_power_law`` replaced. The two differ only in rounding (numpy's ``log``
+and its pairwise sums), so those tests allow 1e-14, scaled the same way.
 """
 
 import tracemalloc
@@ -31,10 +35,11 @@ from longmem.estimators import (
     dfa_fluctuation,
     dfa_profile,
     estimate_from_points,
+    fit_power_law,
     hurst_dfa,
     hurst_rs,
 )
-from longmem.pipeline import ingest_csv
+from longmem.pipeline import _rolling_csv, ingest_csv
 from longmem.rolling import RollingProtocol, rolling_hurst, window_offsets
 from longmem.series import ReturnSeries, log_returns
 from longmem.synth import FgnSpec, generate_fgn
@@ -449,3 +454,65 @@ def test_shared_dfa_blocks_match_reference_on_random_ladders(monkeypatch, paper_
         protocol = RollingProtocol(window=window, step=step, ladder=BlockLadder(sizes),
                                    detrend_order=int(rng.integers(1, 3)))
         assert close_to_reference_dfa(monkeypatch, paper_series[:2000], protocol)
+
+
+def reference_fit_power_law(points):
+    """The numpy fit that ``fit_power_law`` replaced, kept as it was."""
+    pts = np.array(list(points), dtype=float).reshape(-1, 2)
+    if len(pts) < 2:
+        raise ValueError("power-law fit needs at least 2 points")
+    if np.any(pts <= 0):
+        raise ValueError("power-law fit needs positive sizes and values")
+    x, y = np.log(pts[:, 0]), np.log(pts[:, 1])
+    xm, ym = x.mean(), y.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    if sxx == 0:
+        raise ValueError("power-law fit needs at least 2 distinct sizes")
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    intercept = float(ym - slope * xm)
+    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
+    ss_tot = float(np.sum((y - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, min(1.0, max(0.0, r2))
+
+
+def test_fit_matches_reference_on_random_ladders():
+    rng = np.random.default_rng(1951)
+    for _ in range(200):
+        count = int(rng.integers(3, 13))
+        ladder = BlockLadder(sorted(int(m) for m in
+                                    rng.choice(np.arange(4, 251), count, replace=False)))
+        h, scale = rng.uniform(0.1, 1.2), rng.uniform(0.01, 100.0)
+        noise = np.exp(rng.normal(0.0, 0.05, count))
+        points = [(m, float(scale * m**h * e)) for m, e in zip(ladder, noise)]
+        got, want = fit_power_law(points), reference_fit_power_law(points)
+        assert all(type(v) is float for v in got)
+        tolerance = 1e-14 * max(1.0, fit_gain(ladder))
+        assert np.max(np.abs(np.subtract(got, want))) <= tolerance, (points, got, want)
+
+
+@pytest.mark.parametrize("estimator, order", [("dfa", 1), ("dfa", 2), ("rs", 1)])
+def test_rolling_rows_unchanged_by_the_scalar_fit(monkeypatch, paper_series,
+                                                  estimator, order):
+    returns = make_returns(paper_series)
+    protocol = RollingProtocol(estimator=estimator, detrend_order=order)
+    result = rolling_hurst(returns, protocol)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "fit_power_law", reference_fit_power_law)
+        expected = rolling_hurst(returns, protocol)
+    assert _rolling_csv(result, len(returns)) == _rolling_csv(expected, len(returns))
+    assert np.max(np.abs(result.h - expected.h)) <= 1e-14
+    assert np.max(np.abs(result.r_squared - expected.r_squared)) <= 1e-14
+
+
+@pytest.mark.parametrize("points", [
+    [(4, 1.0)],
+    [(4, 1.0), (8, 0.0), (16, 2.0)],
+    [(8, 1.0), (8, 2.0), (8, 3.0)],
+])
+def test_fit_errors_match_reference(points):
+    with pytest.raises(ValueError) as want:
+        reference_fit_power_law(points)
+    with pytest.raises(ValueError) as got:
+        fit_power_law(points)
+    assert str(got.value) == str(want.value)

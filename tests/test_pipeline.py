@@ -97,6 +97,15 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("cell", ["1_000", "١٢", "１０"])
+    def test_only_ascii_decimal_prices_accepted(self, tmp_path, cell):
+        # float() reads these as 1000.0, 12.0 (Arabic-Indic) and 10.0 (full-width)
+        p = tmp_path / "t.csv"
+        p.write_bytes(f"date,price\n2020-01-02,100\n2020-01-03,{cell}\n".encode())
+        message = f"{p}: row 3: unparsable price {cell!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_csv(p)
+
     def test_blank_price_is_hard_error(self, tmp_path):
         p = write_prices(tmp_path / "t.csv", ["2020-01-02,100", "2020-01-03,"])
         with pytest.raises(ValueError, match="blank price"):
