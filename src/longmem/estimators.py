@@ -8,6 +8,7 @@ log(statistic) on log(block size).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -110,10 +111,10 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, 
     """OLS fit of log(value) on log(size); returns (slope, intercept, r_squared).
 
     Needs at least two points with positive sizes and values. ``r_squared`` is
-    1.0 for a horizontal perfect fit (zero total variation). The arithmetic is
-    on plain floats (``math.log`` and sequential sums), as a fit through a
-    handful of points costs less that way than in numpy calls; it agrees with
-    the same formulas in numpy to a few ulp.
+    1.0 for a horizontal perfect fit (total variation within rounding of the
+    logs). The arithmetic is on plain floats (``math.log`` and sequential
+    sums), as a fit through a handful of points costs less that way than in
+    numpy calls; it agrees with the same formulas in numpy to a few ulp.
     """
     pts = list(points)
     n = len(pts)
@@ -134,7 +135,9 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, 
     res = [b - (intercept + slope * a) for a, b in zip(x, y)]
     ss_res = sum([r * r for r in res])
     ss_tot = sum([d * d for d in dy])
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    # the mean of equal logs can round, leaving ulp-sized deviations from it
+    flat = (n * 4 * sys.float_info.epsilon * max(map(abs, y))) ** 2
+    r2 = 1.0 if ss_tot <= flat else 1.0 - ss_res / ss_tot
     return slope, intercept, min(1.0, max(0.0, r2))
 
 

@@ -202,6 +202,26 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+# ASCII whitespace, the only padding a line or cell may carry (a bare
+# ``str.strip()`` would also take NBSP and U+3000)
+_PAD = " \t\n\r\x0b\x0c"
+
+# Bytes of a price file read at a time by the block path. What a read leaves
+# of an unfinished line must be shorter than a block, so every line it reads
+# is under two blocks long.
+BLOCK = 1 << 14
+
+# A body holding any of these bytes goes to the row parser: control bytes (a
+# lone CR too, once CRLF is folded to LF), space, quotes, '#', '_' and every
+# byte outside ASCII.
+_ROW_PARSER_ONLY = bytes([*range(10), *range(11, 33), *b'"#_', *range(127, 256)])
+
+# Least value and span above it of each byte of a date cell with the comma
+# after it, ``YYYY-MM-DD,``: a digit spans 9 above '0', a separator none.
+_DATE_LOW = np.frombuffer(b"0000-00-00,", np.uint8)
+_DATE_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], np.uint8)
+
+
 def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     """Read a dated price CSV into a PriceSeries.
 
@@ -209,10 +229,31 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     comments; a leading UTF-8 byte order mark is ignored. Rows must be
     dated ``YYYY-MM-DD``, strictly increasing, with positive ASCII decimal prices;
     violations are rejected with the physical row number.
+
+    A clean file (ASCII, LF or CRLF lines, no quotes, padding, comments or
+    blank lines after the header, one cell per header cell on every row) is
+    read ``BLOCK`` bytes at a time with array checks. Anything else goes
+    through the row parser, which accepts every other form and raises every
+    error.
     """
     path = Path(path)
     if label is None:
         label = path.stem
+    parsed = _ingest_blocks(path) if csv.field_size_limit() > 2 * BLOCK else None
+    dates, prices = _ingest_rows(path) if parsed is None else parsed
+    return PriceSeries(label, dates, prices)
+
+
+def _header(line: str) -> tuple[int, int, int]:
+    """Date column, price column and cell count of a header line."""
+    columns = [c.strip(_PAD).lower() for c in next(csv.reader([line]))]
+    if "date" not in columns or "price" not in columns:
+        raise ValueError("header must name 'date' and 'price' columns")
+    return columns.index("date"), columns.index("price"), len(columns)
+
+
+def _ingest_rows(path: Path) -> tuple[tuple[Date, ...], list[float]]:
+    """The row parser: one row at a time, every error with its row number."""
     width = 0  # cells a data row needs; 0 until the header is read
     dates: list[Date] = []
     prices: list[float] = []
@@ -228,24 +269,21 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
                         byte = ord(raw[exc.start]) - 0xDC00
                         raise ValueError(f"not UTF-8 (byte 0x{byte:02x} "
                                          f"at column {exc.start + 1})") from None
-                stripped = raw.strip()
+                stripped = raw.strip(_PAD)
                 if not stripped or stripped.startswith("#"):
                     continue
-                cells = next(csv.reader([raw]))
                 if not width:
-                    columns = [c.strip().lower() for c in cells]
-                    if "date" not in columns or "price" not in columns:
-                        raise ValueError("header must name 'date' and 'price' columns")
-                    date_idx, price_idx = columns.index("date"), columns.index("price")
+                    date_idx, price_idx, _ = _header(raw)
                     width = max(date_idx, price_idx) + 1
                     continue
+                cells = next(csv.reader([raw]))
                 if len(cells) < width:
                     raise ValueError(f"expected at least {width} columns")
                 try:
-                    d = _iso_date(cells[date_idx].strip())
+                    d = _iso_date(cells[date_idx].strip(_PAD))
                 except ValueError as exc:
                     raise ValueError(f"unparsable date {cells[date_idx]!r}") from exc
-                raw_price = cells[price_idx].strip()
+                raw_price = cells[price_idx].strip(_PAD)
                 if raw_price == "":
                     raise ValueError("blank price")
                 try:
@@ -270,7 +308,86 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
             prices.append(p)
     if not width:
         raise ValueError(f"{path}: no data rows")
-    return PriceSeries(label, tuple(dates), prices)
+    return tuple(dates), prices
+
+
+def _ingest_blocks(path: Path) -> tuple[tuple[Date, ...], np.ndarray] | None:
+    """Dates and prices of a clean file, or None at the first line that only
+    the row parser reads. Comment and blank lines before the header are read
+    one at a time, then the body ``BLOCK`` bytes at a time."""
+    with path.open("rb") as fh:
+        line = fh.readline(BLOCK).removeprefix(b"\xef\xbb\xbf")
+        while True:
+            if not line.endswith(b"\n") or not line.isascii() \
+                    or b"\r" in line.replace(b"\r\n", b"\n"):
+                return None  # no body, a long line, or one the row parser reads
+            text = line.decode()
+            stripped = text.strip(_PAD)
+            if stripped and not stripped.startswith("#"):
+                break
+            line = fh.readline(BLOCK)
+        try:
+            layout = _header(text)
+        except (ValueError, csv.Error):
+            return None
+        dates: list[Date] = []
+        prices: list[np.ndarray] = []
+        tail = b""
+        while True:
+            data = fh.read(BLOCK)
+            block = tail + data
+            if data:
+                cut = block.rfind(b"\n") + 1
+                block, tail = block[:cut], block[cut:]
+                if len(tail) >= BLOCK:
+                    return None  # an unfinished line as long as a block
+            elif block and not block.endswith(b"\n"):
+                block += b"\n"  # the last line has no newline
+            if block:
+                parsed = _parse_block(block, *layout)
+                if parsed is None or (dates and parsed[0][0] <= dates[-1]):
+                    return None
+                dates.extend(parsed[0])
+                prices.append(parsed[1])
+            if not data:
+                break
+    if not dates:
+        return None
+    return tuple(dates), np.concatenate(prices)
+
+
+def _parse_block(block: bytes, date_idx: int, price_idx: int,
+                 ncols: int) -> tuple[list[Date], np.ndarray] | None:
+    """Dates and prices of a block of whole lines, or None unless every line
+    is ``ncols`` bare cells with a ``YYYY-MM-DD`` date and a finite positive
+    price, and the dates strictly increase."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+    if len(block.translate(None, _ROW_PARSER_ONLY)) != len(block):
+        return None
+    text = block.decode("ascii")
+    rows, stride = text.count("\n"), ncols + 1
+    # each newline becomes a cell of its own, so rows of ncols cells put one
+    # at every stride-th place
+    cells = text.replace("\n", ",\n,").split(",")[:-1]
+    if len(cells) != rows * stride or cells[ncols::stride].count("\n") != rows:
+        return None
+    date_cells = cells[date_idx::stride]
+    joined = (",".join(date_cells) + ",").encode()
+    if len(joined) != 11 * rows:  # no cell holds a comma, so each is 10 long
+        return None
+    keys = np.frombuffer(joined, "S11")  # same shape, so ordered as the dates
+    if ((keys.view(np.uint8).reshape(rows, 11) - _DATE_LOW) > _DATE_SPAN).any() \
+            or (keys[1:] <= keys[:-1]).any():
+        return None
+    try:  # the row parser's calendar check and float(), cell by cell
+        dates = list(map(Date.fromisoformat, date_cells))
+        values = np.array(cells[price_idx::stride], dtype=float)
+    except ValueError:
+        return None
+    if not ((values > 0) & (values < np.inf)).all():
+        return None
+    return dates, values
 
 
 def _write_files(files: dict[Path, str]) -> None:

@@ -118,6 +118,15 @@ class TestFitPowerLaw:
         assert (slope, r2) == (0.0, 1.0)
         assert intercept == pytest.approx(math.log(2.5), abs=1e-15)
 
+    @pytest.mark.parametrize("ladder", [(4, 8, 16, 32, 64, 128), (5, 9, 17, 33)])
+    @pytest.mark.parametrize("value", [10.0, 2.5, 7.3, 1e-300])
+    def test_horizontal_fit_r_squared_is_one_whatever_the_rounding(self, ladder, value):
+        # the mean of six logs of 10.0 rounds, leaving a total variation of ~1e-31, not 0
+        slope, intercept, r2 = fit_power_law([(m, value) for m in ladder])
+        assert r2 == 1.0
+        assert abs(slope) <= 1e-30
+        assert intercept == pytest.approx(math.log(value), rel=1e-15)
+
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.6, 0.7, 1.0])
     def test_exact_power_law_gives_its_exponent(self, h):
         slope, _, r2 = fit_power_law(powerlaw_fixture(h, (4, 8, 16, 32, 64, 128)))

@@ -106,6 +106,19 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("row, kind, cell", [
+        ("2020-01-03,\u30001.0", "price", "\u30001.0"),
+        ("2020-01-03,1.0\u00a0", "price", "1.0\u00a0"),
+        ("\u30002020-01-03,1.0", "date", "\u30002020-01-03"),
+    ])
+    def test_only_ascii_padding_is_stripped(self, tmp_path, row, kind, cell):
+        # str.strip() alone would take NBSP and U+3000 as padding
+        p = tmp_path / "t.csv"
+        p.write_bytes(f"date,price\n2020-01-02,100\n{row}\n".encode())
+        with pytest.raises(ValueError) as err:
+            ingest_csv(p)
+        assert str(err.value) == f"{p}: row 3: unparsable {kind} {cell!r}"
+
     def test_blank_price_is_hard_error(self, tmp_path):
         p = write_prices(tmp_path / "t.csv", ["2020-01-02,100", "2020-01-03,"])
         with pytest.raises(ValueError, match="blank price"):
