@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ METHOD_RS = "rs"
 # A window's floor, as a fraction of its largest magnitude: a DFA fluctuation or R/S
 # block range at or under it is rounding (stale zero returns, fixed-rate accrual).
 FLAT_SPREAD = 1e-9
-CHUNK = 1 << 14  # a chunk of windows spans about twice this many window values
+CHUNK = 1 << 14  # a chunk of windows copies about twice this many values
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ class BlockLadder:
 
     Each size must be at least 4 and there must be at least 3 sizes so the
     log-log regression has a residual degree of freedom. The largest size may
-    not exceed half the window it is applied to; :class:`RollingProtocol`
-    checks that, for a rolling window or a whole series alike.
+    not exceed half the window it is applied to, and the largest must be at
+    least twice the smallest; :class:`RollingProtocol` checks both, for a
+    rolling window or a whole series alike.
     """
 
     sizes: tuple[int, ...]
@@ -99,9 +101,13 @@ class RollingProtocol:
                 f"window {self.window} must be at least twice the largest "
                 f"ladder size ({self.ladder.max_size})"
             )
+        smallest, largest = self.ladder.sizes[0], self.ladder.max_size
+        if largest < 2 * smallest:  # a slope fit then scales rounding several-fold
+            raise ValueError(
+                f"ladder {','.join(map(str, self.ladder))} spans {largest}/{smallest} = "
+                f"{largest / smallest:.2f}, less than the one octave a slope needs")
         if self.detrend_order < 1:
             raise ValueError("detrend_order must be >= 1")
-        smallest = self.ladder.sizes[0]
         if self.estimator == METHOD_DFA and smallest < self.detrend_order + 2:
             raise ValueError(
                 f"block size {smallest} too small for an order-{self.detrend_order} fit")
@@ -190,19 +196,30 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     have passed: ``window`` points starting every ``step`` points from the
     first. Each is fit to the ladder sizes where ``_shared_blocks`` finds a
     statistic above the window's floor, ``FLAT_SPREAD`` of its largest
-    magnitude. Each step is element-wise or a sum along a row, so a window
-    gives the same bits alone or among others."""
+    magnitude. Each ladder size is one pass over all windows, in chunks sized
+    for it, and fills one column of a windows x sizes matrix. Each step is
+    element-wise or a sum along a row, so a window gives the same bits alone
+    or among others, whatever the chunks."""
     window, step, ladder = protocol.window, protocol.step, protocol.ladder
     order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
     windows = sliding_window_view(values, window)[::step]
-    per_chunk = max(1, 2 * CHUNK // max(window, step))  # the map of block starts grows with step
-    for first in range(0, len(windows), per_chunk):
-        chunk = windows[first : first + per_chunk]
-        floor = FLAT_SPREAD * np.maximum(-chunk.min(axis=-1), chunk.max(axis=-1))
-        starts = step * np.arange(first, first + len(chunk))
-        stats = np.stack([_shared_blocks(values, starts, window, m, floor, order)
-                          for m in ladder], axis=-1)
-        for row in stats.tolist():
+    count = len(windows)
+    per_chunk = max(1, 2 * CHUNK // max(window, step))  # a min copies the window values
+    chunks = range(0, count, per_chunk)
+    floor = np.concatenate([FLAT_SPREAD * np.maximum(-w.min(axis=-1), w.max(axis=-1))
+                            for w in (windows[i : i + per_chunk] for i in chunks)])
+    stats = np.empty((count, len(ladder)))
+    for column, m in enumerate(ladder):
+        blocks = window // m
+        # caps: block values copied, the windows x blocks index, the map of block starts
+        per_size = max(1, min(2 * CHUNK // (m * min(blocks, step)), CHUNK // blocks,
+                              2 * CHUNK // step))
+        for first in range(0, count, per_size):
+            last = min(count, first + per_size)
+            stats[first:last, column] = _shared_blocks(
+                values, step * np.arange(first, last), window, m, floor[first:last], order)
+    for first in chunks:
+        for row in stats[first : first + per_chunk].tolist():
             points = [(m, s) for m, s in zip(ladder, row) if s > 0]
             yield estimate_from_points(points, method=protocol.estimator, ladder=ladder,
                                        detrend_order=order)
@@ -282,13 +299,23 @@ def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float
     if m > prof.shape[-1]:
         raise ValueError(f"block size {m} exceeds profile length {prof.shape[-1]}")
     segments = prof[..., : prof.shape[-1] // m * m].reshape(*prof.shape[:-1], -1, m)
-    # on the centred index an exactly polynomial window fits to exactly 0
-    design = np.vander(np.arange(m) - (m - 1) / 2, order + 1, increasing=True)
     resid = np.array(segments)
-    for column, weights in zip(design.T, np.linalg.pinv(design)):
+    for column, weights in _detrend(m, order):
         resid -= (segments * weights).sum(axis=-1, keepdims=True) * column
     resid *= resid
     return np.sqrt(resid.reshape(*prof.shape[:-1], -1).mean(axis=-1))
+
+
+@lru_cache(maxsize=256)
+def _detrend(m: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (column, weights) pairs of an order-``order`` least-squares fit on
+    ``m`` points, read-only: a block's fitted trend is the sum over pairs of
+    its dot product with ``weights`` times ``column``."""
+    # on the centred index an exactly polynomial window fits to exactly 0
+    design = np.vander(np.arange(m) - (m - 1) / 2, order + 1, increasing=True)
+    weights = np.linalg.pinv(design)
+    design.flags.writeable = weights.flags.writeable = False
+    return tuple(zip(design.T, weights))
 
 
 def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,

@@ -395,8 +395,11 @@ def _write_files(files: dict[Path, str]) -> None:
 
     A temporary file is created with mode 0o666, so the umask applies as for a
     plain ``open``. A failure while writing leaves the previous files untouched
-    and no temporary file behind.
+    and no temporary file behind; a missing directory fails before any is made.
     """
+    for path in files:
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"no directory {path.parent}")
     tmps: list[str] = []
     try:
         for path, data in files.items():

@@ -142,11 +142,29 @@ def compare_with_oracle(monkeypatch, values, protocol):
     return result
 
 
+def octave_draw(draw):
+    """The first of ``draw()``'s increasing sizes whose largest is at least
+    twice the smallest, as ``RollingProtocol`` requires."""
+    sizes = draw()
+    while sizes[-1] < 2 * sizes[0]:
+        sizes = draw()
+    return sizes
+
+
 def random_ladder(rng, window, order):
-    """3-5 increasing sizes, none a power of two, within half the window."""
+    """3-5 increasing sizes, none a power of two, within half the window,
+    spanning at least an octave."""
     pool = [m for m in range(max(5, order + 2), window // 2 + 1) if m & (m - 1)]
     count = int(rng.integers(3, 6))
-    return BlockLadder(sorted(int(m) for m in rng.choice(pool, count, replace=False)))
+    return BlockLadder(octave_draw(
+        lambda: sorted(int(m) for m in rng.choice(pool, count, replace=False))))
+
+
+def random_sizes(rng):
+    """3-12 increasing sizes from 4 to 250, spanning at least an octave."""
+    count = int(rng.integers(3, 13))
+    return octave_draw(
+        lambda: sorted(int(m) for m in rng.choice(np.arange(4, 251), count, replace=False)))
 
 
 @pytest.mark.parametrize("estimator", ["dfa", "rs"])
@@ -258,6 +276,42 @@ def test_rolling_memory_stays_small(estimator, order):
     assert peak < 2 * 2**20
 
 
+def test_rolling_memory_stays_small_at_long_shape():
+    # 100,000 returns at the default protocol: 14,215 windows, one windows x
+    # sizes matrix of statistics, its rows read out a chunk at a time
+    returns = make_returns(np.random.default_rng(13).standard_normal(100_000))
+    for estimator in ("dfa", "rs"):
+        tracemalloc.start()
+        try:
+            result = rolling_hurst(returns, RollingProtocol(estimator=estimator))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.h.size == 14_215
+        assert peak < 3 * 2**20, estimator
+
+
+@pytest.mark.parametrize("estimator, order", [("dfa", 1), ("dfa", 2), ("rs", 1)])
+def test_rolling_bits_do_not_depend_on_the_chunks(monkeypatch, paper_series,
+                                                  estimator, order):
+    # a small budget ends each ladder size's chunks at different windows
+    protocol = RollingProtocol(estimator=estimator, detrend_order=order)
+    stale = paper_series.copy()
+    stale[1000:1600] = 0.0
+    runs = []
+    for chunk in (estimators.CHUNK, 1 << 9):
+        monkeypatch.setattr(estimators, "CHUNK", chunk)
+        with pytest.raises(ValueError) as failure:
+            rolling_hurst(make_returns(stale), protocol)
+        runs.append((rolling_hurst(make_returns(paper_series), protocol), str(failure.value)))
+    (default, failure), (small, small_failure) = runs
+    assert np.array_equal(small.h, default.h)
+    assert np.array_equal(small.r_squared, default.r_squared)
+    assert failure == small_failure == (
+        "window 144 (2002-09-30 to 2004-02-11): insufficient scaling points: "
+        "only 0 of 6 ladder sizes have a positive statistic")
+
+
 def reference_mean_rs(x, tau, floor):
     """Mean R/S over the non-overlapping blocks of length tau along the last
     axis. A block counts when its range exceeds ``floor`` (one value per row)
@@ -339,8 +393,7 @@ def test_shared_blocks_equal_reference_on_repeated_values(step):
 def test_shared_blocks_equal_reference_on_random_ladders(paper_series):
     rng = np.random.default_rng(1969)
     for _ in range(12):
-        count = int(rng.integers(3, 13))
-        sizes = sorted(int(m) for m in rng.choice(np.arange(4, 251), count, replace=False))
+        sizes = random_sizes(rng)
         window = int(rng.integers(2 * sizes[-1], 701))
         step = int(rng.integers(1, 30))
         protocol = RollingProtocol(window=window, step=step, estimator="rs",
@@ -389,8 +442,8 @@ def close_to_reference_dfa(monkeypatch, values, protocol):
     same statistics to 1e-14 relative, and fails with its message or gives its
     h and r² to 1e-14. Returns whether the run succeeded.
 
-    Clustered sizes, such as 144, 147 and 153, let the fit scale the rounding
-    in F up to ``fit_gain`` times, so h and r² get that much more room."""
+    Clustered sizes let the fit scale the rounding in F up to ``fit_gain``
+    times, so h and r² get that much more room."""
     returns = make_returns(values)
     expected_kept, *expected = reference_rolling_dfa(returns, protocol)
     kept = []
@@ -447,8 +500,7 @@ def test_shared_dfa_blocks_match_reference_on_accrual(monkeypatch):
 def test_shared_dfa_blocks_match_reference_on_random_ladders(monkeypatch, paper_series):
     rng = np.random.default_rng(1994)
     for _ in range(12):
-        count = int(rng.integers(3, 13))
-        sizes = sorted(int(m) for m in rng.choice(np.arange(4, 251), count, replace=False))
+        sizes = random_sizes(rng)
         window = int(rng.integers(2 * sizes[-1], 701))
         step = int(rng.integers(1, 30))
         protocol = RollingProtocol(window=window, step=step, ladder=BlockLadder(sizes),

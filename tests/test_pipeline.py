@@ -626,6 +626,23 @@ class TestCli:
         assert res.stderr == f"error: {raised.value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "rolling", "hurst"])
+    def test_ladder_under_one_octave_exits_one(self, tmp_path, synth_file, command):
+        out = tmp_path / "o"
+        extra = [] if command == "hurst" else ["--output-dir", str(out)]
+        res = self.invoke(command, str(synth_file), "--ladder", "144,147,153", *extra)
+        assert res.exit_code == 1
+        assert res.stderr == ("error: ladder 144,147,153 spans 153/144 = 1.06, less than "
+                              "the one octave a slope needs\n")
+        assert not out.exists()
+
+    def test_synth_into_a_missing_directory_names_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        res = self.invoke("synth", "ow/p.csv", "--h", "0.6", "--n", "100")
+        assert res.exit_code == 1
+        assert res.stderr == "error: cannot write ow/p.csv: no directory ow\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_hurst_series_shorter_than_twice_the_ladder_exits_two(self, tmp_path):
         path = write_prices(tmp_path / "short.csv", [
             f"{date(2020, 1, 1) + timedelta(days=i)},{100 + (i * 7) % 5}" for i in range(39)])

@@ -51,6 +51,12 @@ class TestProtocol:
         RollingProtocol(window=40, step=1, estimator="rs", ladder=SMALL_LADDER,
                         detrend_order=3)
 
+    def test_ladder_must_span_an_octave(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "ladder 5,7,9 spans 9/5 = 1.80, less than the one octave a slope needs")):
+            RollingProtocol(window=40, step=1, ladder=BlockLadder((5, 7, 9)))
+        RollingProtocol(window=40, step=1, ladder=BlockLadder((5, 7, 10)))
+
     def test_defaults_are_reference_protocol(self):
         proto = RollingProtocol()
         assert proto.window == 500
