@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -24,20 +23,19 @@ WINDOW_COUNT_RULE = "floor((N - window) / step) + 1"
 
 @dataclass(frozen=True, eq=False)
 class RollingResult:
-    """Per-window columns: first and last return dates, h and the fit's r².
-
-    Construction marks the ``h`` and ``r_squared`` arrays read-only.
-    """
+    """Per-window columns: first and last return dates (datetime64[D]), h and
+    the fit's r². Construction marks the four arrays read-only."""
 
     id: str
     protocol: RollingProtocol
-    start_dates: tuple[Date, ...]
-    end_dates: tuple[Date, ...]
+    start_dates: np.ndarray
+    end_dates: np.ndarray
     h: np.ndarray
     r_squared: np.ndarray
 
     def __post_init__(self) -> None:
-        self.h.flags.writeable = self.r_squared.flags.writeable = False
+        for column in (self.start_dates, self.end_dates, self.h, self.r_squared):
+            column.flags.writeable = False
 
 
 def window_offsets(n: int, window: int, step: int) -> range:
@@ -50,11 +48,10 @@ def window_offsets(n: int, window: int, step: int) -> range:
 
 def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingResult:
     """One Hurst estimate per window, dated by the window's first and last return."""
-    values, dates, last = returns.values, returns.dates, protocol.window - 1
-    offsets = window_offsets(values.size, protocol.window, protocol.step)
-    starts = tuple(dates[off] for off in offsets)
-    ends = tuple(dates[off + last] for off in offsets)
-    estimates = _estimate_rows(values, protocol)
+    n, window, step = len(returns), protocol.window, protocol.step
+    offsets = window_offsets(n, window, step)
+    starts, ends = returns.dates[:n - window + 1:step], returns.dates[window - 1::step]
+    estimates = _estimate_rows(returns.values, protocol)
     h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
     for i in range(len(offsets)):
         try:
@@ -66,7 +63,7 @@ def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingRe
 
 
 def split_at(
-    result: RollingResult, split_date: Date, by: str = "start"
+    result: RollingResult, split_date: Date | np.datetime64, by: str = "start"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hurst exponents of the windows dated before ``split_date``, then the rest.
 
@@ -78,5 +75,6 @@ def split_at(
         raise ValueError("split classification must be 'start' or 'end'")
     if not result.h.size:
         raise ValueError("cannot split an empty rolling result")
-    k = bisect_left(result.start_dates if by == "start" else result.end_dates, split_date)
+    keys = result.start_dates if by == "start" else result.end_dates
+    k = np.searchsorted(keys, np.datetime64(split_date, "D"))
     return result.h[:k], result.h[k:]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date as Date
 from typing import Sequence
 
 import numpy as np
@@ -30,17 +29,19 @@ def jarque_bera(skewness: float, kurtosis: float, n: int) -> float:
 
 
 def _values_column(series: PriceSeries | ReturnSeries, name: str) -> np.ndarray:
-    """Make ``series.values`` a read-only float64 copy and check it against the
-    dates: one value per date, dates strictly increasing."""
+    """Make ``dates`` and ``values`` read-only datetime64[D] and float64 copies
+    and check them: one value per date, dates strictly increasing."""
+    dates = np.array(series.dates, dtype="datetime64[D]")
     column = np.array(series.values, dtype=float)
-    column.flags.writeable = False
+    dates.flags.writeable = column.flags.writeable = False
+    object.__setattr__(series, "dates", dates)
     object.__setattr__(series, "values", column)
-    dates = series.dates
-    if column.shape != (len(dates),):
+    if dates.ndim != 1 or column.shape != dates.shape:
         raise ValueError(f"dates and {name} must have equal length")
-    later = next((cur for prev, cur in zip(dates, dates[1:]) if cur <= prev), None)
-    if later is not None:
-        raise ValueError(f"dates not strictly increasing at {later.isoformat()}")
+    # NaT compares false under every operator, so it fails this test
+    later = np.flatnonzero(~(dates[1:] > dates[:-1]))
+    if later.size:
+        raise ValueError(f"dates not strictly increasing at {dates[later[0] + 1]}")
     return column
 
 
@@ -49,11 +50,12 @@ class PriceSeries:
     """Ordered, dated price levels for one index.
 
     Invariants: dates strictly increasing, every price positive and finite,
-    at least two observations. ``values`` becomes a read-only float64 array.
+    at least two observations. ``dates`` (datetime64 or ``datetime.date``
+    values) and ``values`` become read-only datetime64[D] and float64 arrays.
     """
 
     id: str
-    dates: tuple[Date, ...]
+    dates: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -62,7 +64,7 @@ class PriceSeries:
             raise ValueError(f"price series '{self.id}' needs at least 2 observations")
         bad = np.flatnonzero(~(np.isfinite(p) & (p > 0)))
         if bad.size:
-            value, at = float(p[bad[0]]), self.dates[bad[0]].isoformat()
+            value, at = float(p[bad[0]]), self.dates[bad[0]]
             cause = "non-finite" if not math.isfinite(value) else "non-positive"
             raise ValueError(f"{cause} price {value} at {at}")
 
@@ -72,11 +74,11 @@ class PriceSeries:
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Ordered, dated continuously compounded returns in percent, as a
-    read-only float64 ``values`` array."""
+    """Ordered, dated continuously compounded returns in percent, as read-only
+    datetime64[D] ``dates`` and float64 ``values`` arrays."""
 
     id: str
-    dates: tuple[Date, ...]
+    dates: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -85,7 +87,7 @@ class ReturnSeries:
             raise ValueError(f"return series '{self.id}' is empty")
         bad = np.flatnonzero(~np.isfinite(r))
         if bad.size:
-            raise ValueError(f"non-finite return at {self.dates[bad[0]].isoformat()}")
+            raise ValueError(f"non-finite return at {self.dates[bad[0]]}")
 
     def __len__(self) -> int:
         return self.values.size

@@ -100,7 +100,7 @@ def outcome(ingest, path):
         series = ingest(path, "x")
     except ValueError as exc:
         return str(exc)
-    return series.dates, series.values.tobytes()
+    return series.dates.tolist(), series.values.tobytes()
 
 
 def assert_same_as_reference(path):
@@ -154,6 +154,22 @@ class TestBlockPath:
         assert len(want[0]) == 5000
         assert outcome(ingest_csv, plain) == want
         assert outcome(ingest_csv, crlf) == want
+
+    def test_row_parser_hands_over_the_block_path_dates(self, tmp_path, seed_bytes,
+                                                        monkeypatch):
+        # a comment line after the header sends the whole file to the row parser
+        body = seed_bytes.index(b"date,price\n") + len(b"date,price\n")
+        clean, commented = tmp_path / "clean.csv", tmp_path / "commented.csv"
+        clean.write_bytes(seed_bytes)
+        commented.write_bytes(seed_bytes[:body] + b"# after the header\n" + seed_bytes[body:])
+        calls, row_parser = [], pipeline._ingest_rows
+        monkeypatch.setattr(pipeline, "_ingest_rows",
+                            lambda path: calls.append(path) or row_parser(path))
+        block, rows = ingest_csv(clean), ingest_csv(commented)
+        assert calls == [commented]
+        assert rows.dates.dtype == block.dates.dtype == np.dtype("datetime64[D]")
+        assert len(rows) == 2401 and np.array_equal(rows.dates, block.dates)
+        assert rows.values.tobytes() == block.values.tobytes()
 
     @pytest.mark.parametrize("cell", [
         "1", "1.5", "-1", "+1", ".5", "5.", "1e5", "1E5", "1e+5", "1e-5", "nan", "NaN",

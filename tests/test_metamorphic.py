@@ -43,8 +43,8 @@ def run(values, proto, first_day=0):
 
 def assert_rows_equal(got, want, rows=slice(None)):
     """``got`` has the rows ``rows`` of ``want``."""
-    assert got.start_dates == want.start_dates[rows]
-    assert got.end_dates == want.end_dates[rows]
+    np.testing.assert_array_equal(got.start_dates, want.start_dates[rows])
+    np.testing.assert_array_equal(got.end_dates, want.end_dates[rows])
     np.testing.assert_allclose(got.h, want.h[rows], rtol=0, atol=TOL)
     np.testing.assert_allclose(got.r_squared, want.r_squared[rows], rtol=0, atol=TOL)
 
@@ -85,6 +85,6 @@ def test_stale_prices_leave_untouched_windows_unchanged(proto, windows, seed, wh
     # the returns first-1 .. first+length-1 use a stale price
     offsets = np.arange(windows) * proto.step
     apart = (offsets + proto.window - 1 < first - 1) | (offsets > first + length - 1)
-    assert dirty.start_dates == clean.start_dates
+    np.testing.assert_array_equal(dirty.start_dates, clean.start_dates)
     np.testing.assert_allclose(dirty.h[apart], clean.h[apart], rtol=0, atol=TOL)
     np.testing.assert_allclose(dirty.r_squared[apart], clean.r_squared[apart], rtol=0, atol=TOL)

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 from importlib import resources
@@ -58,7 +59,7 @@ def synth_file(tmp_path):
 def window_start(path, index):
     """Start date of the index-th window under the default window 500, step 7."""
     returns = log_returns(ingest_csv(path))
-    return returns.dates[window_offsets(len(returns), 500, 7)[index]]
+    return returns.dates[window_offsets(len(returns), 500, 7)[index]].item()
 
 
 class TestIngestCsv:
@@ -167,7 +168,7 @@ class TestIngestCsv:
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         got, want = ingest_csv(bom, "t"), ingest_csv(plain)
-        assert got.id == want.id and got.dates == want.dates
+        assert got.id == want.id and np.array_equal(got.dates, want.dates)
         assert got.values.tolist() == want.values.tolist()
 
     def test_non_utf8_byte_names_file_and_row(self, tmp_path):
@@ -228,6 +229,12 @@ class TestEmitSynth:
         path = emit_synth(FgnSpec(h=0.62, n=50, seed=123), tmp_path / "s.csv")
         head = path.read_text()
         assert "h=0.62" in head and "seed=123" in head
+
+    def test_writes_the_golden_input_unchanged(self, tmp_path):
+        # tests/golden/inputs/synth.csv is `longmem synth --h 0.6 --n 1200 --seed 11`
+        path = emit_synth(FgnSpec(h=0.6, n=1200, seed=11), tmp_path / "s.csv")
+        golden = Path(__file__).parent / "golden" / "inputs" / "synth.csv"
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_round_trip_recovers_noise(self, tmp_path):
         spec = FgnSpec(h=0.7, n=400, seed=9)
@@ -738,7 +745,7 @@ class TestCli:
         series = ingest_csv(synth_file)
         stale = series.values[:700].tolist() + [series.values[699].tolist()] * (len(series) - 700)
         path = write_prices(tmp_path / "stale.csv",
-                            [f"{d.isoformat()},{p!r}" for d, p in zip(series.dates, stale)])
+                            [f"{d},{p!r}" for d, p in zip(series.dates, stale)])
         res = self.invoke("run", str(path), "--estimator", estimator,
                           "--output-dir", str(tmp_path / "o"))
         assert res.exit_code == 2
@@ -879,6 +886,20 @@ class TestCli:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert res.stderr == f"error: {cause}\n"
+        assert not out.exists()
+
+    def test_synth_whose_prices_leave_the_float_range_exits_one(self, tmp_path):
+        # 1e5 percent noise: the cumulative log price passes exp's range in days
+        out = tmp_path / "big.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = self.invoke("synth", str(out), "--h", "0.6", "--n", "5000",
+                              "--sigma", "1e5", "--seed", "1")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == (f"error: cannot write {out}: price 3 is 0.0 at sigma 100000.0; "
+                              "a smaller sigma keeps every price finite and positive\n")
+        assert caught == []
         assert not out.exists()
 
     def test_invalid_ladder_flag(self, synth_file):

@@ -107,6 +107,15 @@ class TestRollingHurst:
         assert result.end_dates[0] == rets.dates[39]
         assert result.start_dates[1] == rets.dates[10]
 
+    def test_date_columns_are_read_only_views_in_days(self):
+        rets = make_returns(generate_gaussian(100, seed=1))
+        result = rolling_hurst(rets, small_protocol(window=40, step=10))
+        for column in (result.start_dates, result.end_dates):
+            assert column.dtype == np.dtype("datetime64[D]")
+            assert np.shares_memory(column, rets.dates)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+
     def test_single_window_boundary(self):
         rets = make_returns(generate_gaussian(40, seed=2))
         result = rolling_hurst(rets, small_protocol(window=40, step=7))
@@ -138,7 +147,7 @@ class TestRollingHurst:
         rets = make_returns(generate_gaussian(150, seed=5))
         proto = small_protocol()
         a, b = rolling_hurst(rets, proto), rolling_hurst(rets, proto)
-        assert (a.start_dates, a.end_dates) == (b.start_dates, b.end_dates)
+        np.testing.assert_array_equal((a.start_dates, a.end_dates), (b.start_dates, b.end_dates))
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.r_squared, b.r_squared)
 
@@ -157,7 +166,7 @@ class TestRollingHurst:
         # returns go flat from index 60: the window at offset 60 is the
         # first with no usable ladder size
         rets = make_returns(np.concatenate([generate_gaussian(60, seed=9), np.zeros(40)]))
-        message = (f"window 13 ({rets.dates[60].isoformat()} to {rets.dates[99].isoformat()}): "
+        message = (f"window 13 ({rets.dates[60]} to {rets.dates[99]}): "
                    "insufficient scaling points: only 0 of 3 ladder sizes have a positive "
                    "statistic")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -42,9 +42,20 @@ class TestPriceSeries:
             make_prices([100.0, price])
 
     def test_rejects_non_increasing_dates(self):
+        def days(*cells):
+            return np.array(cells, "datetime64[D]")
+
         d = date(2020, 1, 1)
-        with pytest.raises(ValueError, match="not strictly increasing"):
-            PriceSeries("x", (d, d), (1.0, 2.0))
+        for dates, at in [
+            ((d, d), "2020-01-01"),
+            (days("2020-01-02", "2020-01-01", "2020-01-03"), "2020-01-01"),
+            # NaT compares false with every date, so it breaks the order where it stands
+            (days("2020-01-01", "NaT", "2020-01-03"), "NaT"),
+            (days("NaT", "2020-01-02", "2020-01-03"), "2020-01-02"),
+            (days("2020-01-01", "2020-01-02", "NaT"), "NaT"),
+        ]:
+            with pytest.raises(ValueError, match=f"^dates not strictly increasing at {at}$"):
+                PriceSeries("x", dates, [1.0] * len(dates))
 
     def test_rejects_a_length_mismatch(self):
         with pytest.raises(ValueError, match="^dates and prices must have equal length$"):
@@ -59,6 +70,16 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="read-only"):
             series.values[0] = 1.0
         assert series != PriceSeries("x", dates, series.values)  # compared by identity
+
+    def test_dates_are_a_read_only_copy_in_days(self):
+        dates = np.array(["2020-01-01", "2020-01-02", "2020-01-03"], "datetime64[D]")
+        prices = PriceSeries("x", dates, [1.0, 2.0, 4.0])
+        dates[0] = "2019-12-31"
+        assert prices.dates.tolist() == [date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)]
+        for series in (prices, log_returns(prices)):
+            assert series.dates.dtype == np.dtype("datetime64[D]")
+            with pytest.raises(ValueError, match="read-only"):
+                series.dates[0] = series.dates[-1]
 
     @given(st.lists(st.sampled_from([1.0, 2.5, 1e-300, 0.0, -0.0, -1.0, math.nan,
                                      math.inf, -math.inf]), min_size=2, max_size=8))
@@ -96,7 +117,7 @@ class TestLogReturns:
     def test_dated_with_later_observation(self):
         prices = make_prices([1.0, 2.0, 4.0])
         rs = log_returns(prices)
-        assert rs.dates == prices.dates[1:]
+        np.testing.assert_array_equal(rs.dates, prices.dates[1:])
         assert len(rs) == len(prices) - 1
 
     @given(
