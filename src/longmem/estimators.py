@@ -128,14 +128,10 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, 
         raise ValueError("power-law fit needs at least 2 points")
     if any(m <= 0 or v <= 0 for m, v in pts):  # a NaN passes and yields NaN
         raise ValueError("power-law fit needs positive sizes and values")
-    x = [math.log(m) for m, _ in pts]
+    x, xm, dx, sxx = _size_side(tuple([m for m, _ in pts]))
     y = [math.log(v) for _, v in pts]
-    xm, ym = sum(x) / n, sum(y) / n
-    dx = [a - xm for a in x]
+    ym = sum(y) / n
     dy = [b - ym for b in y]
-    sxx = sum([d * d for d in dx])
-    if sxx == 0:
-        raise ValueError("power-law fit needs at least 2 distinct sizes")
     slope = sum([a * b for a, b in zip(dx, dy)]) / sxx
     intercept = ym - slope * xm
     res = [b - (intercept + slope * a) for a, b in zip(x, y)]
@@ -145,6 +141,18 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, 
     flat = (n * 4 * sys.float_info.epsilon * max(map(abs, y))) ** 2
     r2 = 1.0 if ss_tot <= flat else 1.0 - ss_res / ss_tot
     return slope, intercept, min(1.0, max(0.0, r2))
+
+
+@lru_cache(maxsize=256)
+def _size_side(sizes: tuple[float, ...]) -> tuple:
+    """``fit_power_law``'s log sizes, their mean, deviations and sum of squares."""
+    x = tuple([math.log(m) for m in sizes])
+    xm = sum(x) / len(x)
+    dx = tuple([a - xm for a in x])
+    sxx = sum([d * d for d in dx])
+    if sxx == 0:
+        raise ValueError("power-law fit needs at least 2 distinct sizes")
+    return x, xm, dx, sxx
 
 
 @dataclass(frozen=True)
@@ -198,8 +206,8 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     statistic above the window's floor, ``FLAT_SPREAD`` of its largest
     magnitude. Each ladder size is one pass over all windows, in chunks sized
     for it, and fills one column of a windows x sizes matrix. Each step is
-    element-wise or a sum along a row, so a window gives the same bits alone
-    or among others, whatever the chunks."""
+    element-wise or a sum or contraction along a row, so a window gives the
+    same bits alone or among others, whatever the chunks."""
     window, step, ladder = protocol.window, protocol.step, protocol.ladder
     order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
     windows = sliding_window_view(values, window)[::step]
@@ -299,11 +307,13 @@ def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float
     if m > prof.shape[-1]:
         raise ValueError(f"block size {m} exceeds profile length {prof.shape[-1]}")
     segments = prof[..., : prof.shape[-1] // m * m].reshape(*prof.shape[:-1], -1, m)
-    resid = np.array(segments)
-    for column, weights in _detrend(m, order):
-        resid -= (segments * weights).sum(axis=-1, keepdims=True) * column
-    resid *= resid
-    return np.sqrt(resid.reshape(*prof.shape[:-1], -1).mean(axis=-1))
+    # each coefficient is one contraction along a block's row; the first column is 1.0
+    (_, weights), *rest = _detrend(m, order)
+    resid = segments - np.einsum("...j,j->...", segments, weights)[..., None]
+    for column, weights in rest:
+        resid -= np.einsum("...j,j->...", segments, weights)[..., None] * column
+    ss = np.einsum("...j,...j->...", resid, resid)
+    return np.sqrt(ss.sum(axis=-1) / (ss.shape[-1] * m))
 
 
 @lru_cache(maxsize=256)
@@ -311,7 +321,7 @@ def _detrend(m: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The (column, weights) pairs of an order-``order`` least-squares fit on
     ``m`` points, read-only: a block's fitted trend is the sum over pairs of
     its dot product with ``weights`` times ``column``."""
-    # on the centred index an exactly polynomial window fits to exactly 0
+    # centred for conditioning; an exactly polynomial window still fits to rounding, not 0
     design = np.vander(np.arange(m) - (m - 1) / 2, order + 1, increasing=True)
     weights = np.linalg.pinv(design)
     design.flags.writeable = weights.flags.writeable = False

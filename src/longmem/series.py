@@ -38,8 +38,9 @@ def _values_column(series: PriceSeries | ReturnSeries, name: str) -> np.ndarray:
     object.__setattr__(series, "values", column)
     if dates.ndim != 1 or column.shape != dates.shape:
         raise ValueError(f"dates and {name} must have equal length")
-    # NaT compares false under every operator, so it fails this test
-    later = np.flatnonzero(~(dates[1:] > dates[:-1]))
+    if np.isnat(dates).any():
+        raise ValueError("dates not strictly increasing at NaT")
+    later = np.flatnonzero(dates[1:] <= dates[:-1])
     if later.size:
         raise ValueError(f"dates not strictly increasing at {dates[later[0] + 1]}")
     return column

@@ -10,6 +10,7 @@ should derive seeds as base_seed + index.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,6 +48,10 @@ class FgnSpec:
             raise ValueError("need n >= 2")
         if not 0.0 < self.sigma < math.inf:  # a nan or inf scale writes nan prices
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        # the embedding's eigenvalues are sums of 2n covariances of at most sigma**2
+        if self.sigma > math.sqrt(sys.float_info.max / (2 * self.n)):
+            raise ValueError(f"sigma {self.sigma} too large for n={self.n}: the covariance "
+                             "sum 2 n sigma**2 leaves the float range")
 
 
 def fgn_autocovariance(h: float, lags: Sequence[int], sigma: float = 1.0) -> np.ndarray:

@@ -16,8 +16,18 @@ ladder's fit can scale it by.
 ``reference_fit_power_law`` is the numpy log-log fit that the plain-float
 ``fit_power_law`` replaced. The two differ only in rounding (numpy's ``log``
 and its pairwise sums), so those tests allow 1e-14, scaled the same way.
+
+``reference_rolling_dfa`` calls the live ``dfa_fluctuation``, so the frozen
+``previous_dfa_fluctuation`` pins that function's arithmetic: the elementwise
+products summed along each row that its row contractions (``einsum``)
+replaced. They differ only in summation order, so those tests allow 1e-14
+relative above rounding, and ask for the same bits of a row alone or in a
+stack. ``previous_fit_power_law`` is ``fit_power_law`` before its size side
+was cached, and must give the same bits.
 """
 
+import math
+import sys
 import tracemalloc
 import warnings
 from datetime import date, timedelta
@@ -568,3 +578,129 @@ def test_fit_errors_match_reference(points):
     with pytest.raises(ValueError) as got:
         fit_power_law(points)
     assert str(got.value) == str(want.value)
+
+
+def previous_dfa_fluctuation(x_profile, m, order=1):
+    """``dfa_fluctuation``'s arithmetic before its row contractions, kept as it
+    was: a full copy of the blocks, each coefficient as a product summed along
+    the row, then the mean of the squared residuals of all covered points."""
+    prof = np.asarray(x_profile, dtype=float)
+    segments = prof[..., : prof.shape[-1] // m * m].reshape(*prof.shape[:-1], -1, m)
+    resid = np.array(segments)
+    for column, weights in estimators._detrend(m, order):
+        resid -= (segments * weights).sum(axis=-1, keepdims=True) * column
+    resid *= resid
+    return np.sqrt(resid.reshape(*prof.shape[:-1], -1).mean(axis=-1))
+
+
+def random_profiles(rng, m):
+    """Stacks of 1-4 profiles of 1-3 blocks of ``m`` plus a tail, one kind each:
+    noise, stale runs (some rows wholly stale), accrual (constant returns) or
+    an exactly linear ramp of small integers."""
+    rows, length = int(rng.integers(1, 5)), m * int(rng.integers(1, 4)) + int(rng.integers(0, m))
+    kind = rng.integers(4)
+    if kind == 3:
+        return np.arange(length) * float(rng.integers(-3, 4)) + rng.integers(-9, 10, (rows, 1))
+    returns = rng.standard_normal((rows, length)) * 10.0 ** rng.uniform(-3, 3)
+    if kind == 1:
+        returns[:, rng.random(length) < 0.8] = 0.0
+        returns[rng.random(rows) < 0.3] = 0.0
+    elif kind == 2:
+        returns[:] = rng.uniform(0.001, 0.1)
+    return dfa_profile(returns) if rng.random() < 0.5 else np.cumsum(returns, axis=-1)
+
+
+def test_dfa_fluctuation_matches_its_previous_arithmetic():
+    """To 1e-14 relative where the fluctuation is above rounding (the kernel's
+    ``FLAT_SPREAD`` of the profile's magnitude); below it, as for accrual or a
+    ramp, within 1e-14 of that magnitude, where the kernel's floor drops it
+    either way. Such a rounding-level value is exactly 0 in either arithmetic
+    only by the luck of its summation order, so an exact 0 is required only of
+    a zero profile, a wholly stale one, where both give 0."""
+    rng = np.random.default_rng(1994)
+    flat_rows = 0
+    for _ in range(600):
+        m = int(rng.integers(4, 251))
+        order = int(rng.integers(1, min(3, m - 2) + 1))
+        profile = random_profiles(rng, m)
+        got, want = dfa_fluctuation(profile, m, order), previous_dfa_fluctuation(profile, m, order)
+        scale = np.abs(profile).max(axis=-1)
+        counted = want > FLAT_SPREAD * scale
+        assert np.all(np.abs(got - want) <= 1e-14 * np.where(counted, want, scale)), (m, order)
+        assert np.all(got[scale == 0] == 0) and np.all(want[scale == 0] == 0), (m, order)
+        flat_rows += int(np.sum(scale == 0))
+    assert flat_rows > 0
+
+
+def test_dfa_fluctuation_rows_do_not_depend_on_their_neighbours():
+    """A row alone, inside a stack and from a copy offset by one element (so
+    another SIMD alignment) gives the same bits."""
+    rng = np.random.default_rng(1685)
+    for _ in range(200):
+        m = int(rng.integers(4, 251))
+        order = int(rng.integers(1, min(3, m - 2) + 1))
+        stack = random_profiles(rng, m)
+        stacked = dfa_fluctuation(stack, m, order)
+        for row, value in zip(stack, stacked.tolist()):
+            shifted = np.empty(row.size + 1)
+            shifted[1:] = row
+            assert dfa_fluctuation(row.copy(), m, order) == value
+            assert dfa_fluctuation(shifted[1:], m, order) == value
+
+
+def previous_fit_power_law(points):
+    """``fit_power_law`` before its size side was cached, kept as it was."""
+    pts = list(points)
+    n = len(pts)
+    if n < 2:
+        raise ValueError("power-law fit needs at least 2 points")
+    if any(m <= 0 or v <= 0 for m, v in pts):
+        raise ValueError("power-law fit needs positive sizes and values")
+    x = [math.log(m) for m, _ in pts]
+    y = [math.log(v) for _, v in pts]
+    xm, ym = sum(x) / n, sum(y) / n
+    dx = [a - xm for a in x]
+    dy = [b - ym for b in y]
+    sxx = sum([d * d for d in dx])
+    if sxx == 0:
+        raise ValueError("power-law fit needs at least 2 distinct sizes")
+    slope = sum([a * b for a, b in zip(dx, dy)]) / sxx
+    intercept = ym - slope * xm
+    res = [b - (intercept + slope * a) for a, b in zip(x, y)]
+    ss_res = sum([r * r for r in res])
+    ss_tot = sum([d * d for d in dy])
+    flat = (n * 4 * sys.float_info.epsilon * max(map(abs, y))) ** 2
+    r2 = 1.0 if ss_tot <= flat else 1.0 - ss_res / ss_tot
+    return slope, intercept, min(1.0, max(0.0, r2))
+
+
+def test_fit_with_cached_sizes_gives_the_previous_bits():
+    """Ladders of 3-12 sizes, interleaved so the cache holds other ladders
+    between two calls on one, with int and float sizes of equal value."""
+    rng = np.random.default_rng(1951)
+    ladders = [random_sizes(rng) for _ in range(40)]
+    for i in rng.integers(0, len(ladders), 600).tolist():
+        sizes = ladders[i]
+        h, scale = rng.uniform(0.1, 1.2), rng.uniform(0.01, 100.0)
+        values = [float(scale * m**h * e) for m, e in
+                  zip(sizes, np.exp(rng.normal(0.0, 0.05, len(sizes))))]
+        want = previous_fit_power_law(zip(sizes, values))
+        assert fit_power_law(zip(sizes, values)) == want
+        assert fit_power_law(zip(map(float, sizes), values)) == want
+    assert estimators._size_side.cache_info().hits >= 1000
+
+
+def test_failed_fits_leave_the_cached_sizes_intact():
+    good = [(4, 1.0), (8, 1.6), (16, 2.5)]
+    want = previous_fit_power_law(good)
+    for bad, cause in [
+        ([(4, 1.0), (8, 0.0), (16, 2.0)], "positive sizes and values"),
+        ([(0, 1.0), (8, 1.6), (16, 2.5)], "positive sizes and values"),
+        ([(-4, 1.0), (8, 1.6), (16, 2.5)], "positive sizes and values"),
+        ([(8, 1.0), (8, 2.0), (8, 3.0)], "at least 2 distinct sizes"),
+        ([(8.0, 1.0), (8, 2.0)], "at least 2 distinct sizes"),
+    ]:
+        for _ in range(2):  # a failure is not cached as a result
+            with pytest.raises(ValueError, match=f"^power-law fit needs {cause}$"):
+                fit_power_law(bad)
+            assert fit_power_law(good) == want

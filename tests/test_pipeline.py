@@ -879,6 +879,11 @@ class TestCli:
         (("--h", "0.5", "--n", "100", "--sigma", "-1"),
          "sigma must be positive and finite, got -1.0"),
         (("--h", "0.5", "--n", "100", "--sigma", "nan"), "sigma must be positive and finite, got nan"),
+        # 1e200 squared overflows a Python float; 1.3e154 overflowed the FFT with warnings
+        (("--h", "0.6", "--n", "50", "--sigma", "1e200"),
+         "sigma 1e+200 too large for n=50: the covariance sum 2 n sigma**2 leaves the float range"),
+        (("--h", "0.6", "--n", "50", "--sigma", "1.3e154"),
+         "sigma 1.3e+154 too large for n=50: the covariance sum 2 n sigma**2 leaves the float range"),
     ])
     def test_synth_bad_parameter_exits_one(self, tmp_path, flags, cause):
         out = tmp_path / "gen.csv"

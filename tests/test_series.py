@@ -49,10 +49,11 @@ class TestPriceSeries:
         for dates, at in [
             ((d, d), "2020-01-01"),
             (days("2020-01-02", "2020-01-01", "2020-01-03"), "2020-01-01"),
-            # NaT compares false with every date, so it breaks the order where it stands
+            # a NaT has no place in the order, wherever it stands
             (days("2020-01-01", "NaT", "2020-01-03"), "NaT"),
-            (days("NaT", "2020-01-02", "2020-01-03"), "2020-01-02"),
+            (days("NaT", "2020-01-02", "2020-01-03"), "NaT"),
             (days("2020-01-01", "2020-01-02", "NaT"), "NaT"),
+            (days("NaT"), "NaT"),
         ]:
             with pytest.raises(ValueError, match=f"^dates not strictly increasing at {at}$"):
                 PriceSeries("x", dates, [1.0] * len(dates))

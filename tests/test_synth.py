@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ class TestFgnSpec:
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(ValueError, match="^sigma must be positive and finite, got "):
             FgnSpec(h=0.5, n=10, sigma=sigma)
+
+    @pytest.mark.parametrize("n", [2, 50, 5000])
+    def test_sigma_keeps_the_covariance_sum_finite(self, n):
+        limit = math.sqrt(sys.float_info.max / (2 * n))
+        assert np.all(np.isfinite(generate_fgn(FgnSpec(h=0.9, n=n, sigma=limit))))
+        with pytest.raises(ValueError, match=f"^sigma .* too large for n={n}: "):
+            FgnSpec(h=0.9, n=n, sigma=math.nextafter(limit, math.inf))
 
 
 class TestGenerateFgn:
