@@ -206,8 +206,8 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     statistic above the window's floor, ``FLAT_SPREAD`` of its largest
     magnitude. Each ladder size is one pass over all windows, in chunks sized
     for it, and fills one column of a windows x sizes matrix. Each step is
-    element-wise or a sum or contraction along a row, so a window gives the
-    same bits alone or among others, whatever the chunks."""
+    element-wise, a sum or contraction along a row or an exact max or min, so a
+    window gives the same bits alone or among others, whatever the chunks."""
     window, step, ladder = protocol.window, protocol.step, protocol.ladder
     order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
     windows = sliding_window_view(values, window)[::step]
@@ -242,7 +242,10 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
     affine term by which it differs from the window's profile), and F, the root
     mean of the window's block residuals, counts above ``floor``. Without, R/S:
     the mean over blocks whose range exceeds ``floor`` and whose standard
-    deviation stays positive. A window with nothing that counts gives 0."""
+    deviation stays positive; means, deviations and cumulative sums run along
+    rows, ranges down columns (``_ranges``), and a block with zero deviation
+    gets range -inf, so one gather decides which blocks count. A window with
+    nothing that counts gives 0."""
     # block k of window i starts at starts[i] + k * tau; index[i, k] is its row
     at = (starts - starts[0])[:, None] + tau * np.arange(window // tau)
     present = np.zeros(at[-1, -1] + 1, dtype=bool)
@@ -255,14 +258,21 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
         return np.where(f > floor, f, 0.0)
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
     s = np.sqrt(np.mean(dev**2, axis=-1))
-    spread = np.ptp(blocks, axis=-1)
-    cum = np.cumsum(dev, axis=-1, out=dev)
     varies = s > 0
-    rs = np.divide(np.ptp(cum, axis=-1), s, out=np.zeros_like(s), where=varies)
+    spread = np.where(varies, _ranges(blocks), -np.inf)  # -inf: never above a floor
+    cum = np.cumsum(dev, axis=-1, out=dev)
+    rs = np.divide(_ranges(cum), s, out=np.zeros_like(s), where=varies)
     keep = spread.take(index) > floor[:, None]
-    keep &= varies.take(index)
     rs = np.where(keep, rs.take(index), 0.0)
-    return rs.sum(axis=-1) / np.maximum(keep.sum(axis=-1), 1)
+    return rs.sum(axis=-1) / np.maximum(np.count_nonzero(keep, axis=-1), 1)
+
+
+def _ranges(rows: np.ndarray) -> np.ndarray:
+    """``np.ptp(rows, axis=-1)`` of a 2-d stack, taken down the columns of a
+    transposed copy: numpy reduces a short row at a time but all columns at
+    once. Max and min are exact in any order, so the bits are the same."""
+    cols = rows.T.copy()
+    return cols.max(axis=0) - cols.min(axis=0)
 
 
 def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEstimate:

@@ -50,6 +50,7 @@ CASES = {
     "run_rs_end": ("run", "synth.csv", *SPLIT, "--estimator", "rs", "--split-by", "end",
                    "--output-dir", "out"),
     "run_accrual": ("run", "accrual.csv", "--output-dir", "out"),
+    "run_rs_accrual": ("run", "accrual.csv", "--estimator", "rs", "--output-dir", "out"),
     "run_dfa2": ("run", "synth.csv", *SPLIT, "--detrend-order", "2", "--ladder", "5,9,17,33",
                  "--output-dir", "out"),
     "describe": ("describe", "synth.csv"),

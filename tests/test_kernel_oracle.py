@@ -6,7 +6,11 @@ index, and R/S averaged the values of the non-degenerate blocks only.
 
 ``reference_mean_rs`` is the R/S statistic the shared-block kernel replaced:
 each window's blocks cut from its own row of a stack of windows. The kernel
-must give the same bits as it, so those tests compare with ``==``.
+must give the same bits as it, so those tests compare with ``==``. The
+kernel takes its ranges with ``_ranges``, down the columns of a transposed
+copy, which must give ``np.ptp``'s bits along rows; and it drops a block
+whose standard deviation is 0 by giving it range -inf, which a series scaled
+until block squares underflow (s == 0 with a range above the floor) checks.
 ``reference_rolling_dfa`` is the stacked-row DFA it replaced: one profile per
 window row, every block of every row refitted. There the kernel detrends each
 block's own profile instead, which changes only rounding, so those tests
@@ -409,6 +413,56 @@ def test_shared_blocks_equal_reference_on_random_ladders(paper_series):
         protocol = RollingProtocol(window=window, step=step, estimator="rs",
                                    ladder=BlockLadder(sizes))
         assert same_as_reference(paper_series[:2000], protocol)
+
+
+def blocks_without_deviation_above_the_floor(values, protocol):
+    """The number of (window, block) pairs whose block's range exceeds the
+    window's floor while its standard deviation is exactly 0."""
+    rows = sliding_window_view(values, protocol.window)[:: protocol.step]
+    floor = FLAT_SPREAD * np.maximum(-rows.min(axis=-1), rows.max(axis=-1))
+    count = 0
+    for m in protocol.ladder:
+        blocks = rows[:, : protocol.window // m * m].reshape(len(rows), -1, m)
+        dev = blocks - blocks.mean(axis=-1, keepdims=True)
+        s = np.sqrt(np.mean(dev**2, axis=-1))
+        count += np.count_nonzero((s == 0) & (np.ptp(blocks, axis=-1) > floor[:, None]))
+    return count
+
+
+@pytest.mark.parametrize("scale, succeeds", [(1e-161, True), (1e-162, False)])
+def test_shared_blocks_equal_reference_where_block_squares_underflow(paper_series, scale,
+                                                                     succeeds):
+    # squares of returns near 1e-161 underflow, so some blocks have s == 0 while
+    # their range clears the floor: the standard deviation alone must drop them
+    values = paper_series * scale
+    protocol = RollingProtocol(estimator="rs")
+    if succeeds:
+        assert blocks_without_deviation_above_the_floor(values, protocol) > 0
+    assert same_as_reference(values, protocol) is succeeds
+
+
+def same_bits_as_ptp(rows):
+    ranges = estimators._ranges(rows)
+    assert ranges.tobytes() == np.ptp(rows, axis=-1).tobytes()
+    return ranges
+
+
+def test_ranges_equal_ptp_along_rows():
+    rng = np.random.default_rng(1951)
+    for _ in range(60):
+        shape = (int(rng.integers(1, 3001)), int(rng.integers(1, 251)))
+        same_bits_as_ptp(rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300))
+        same_bits_as_ptp(np.repeat(rng.standard_normal((shape[0], 1)), shape[1], axis=1))
+        # only signed zeros, and zeros among values of both signs: never -0.0
+        zeros = rng.choice([0.0, -0.0], size=shape)
+        assert not np.signbit(same_bits_as_ptp(zeros)).any()
+        mixed = np.where(rng.random(shape) < 0.5, zeros, rng.standard_normal(shape))
+        assert not np.signbit(same_bits_as_ptp(mixed)).any()
+    values = rng.standard_normal((400, 300))
+    same_bits_as_ptp(values[::3, 7:250:2])
+    values.flags.writeable = False
+    same_bits_as_ptp(values)
+    same_bits_as_ptp(sliding_window_view(values[0], 16)[::5])
 
 
 def reference_rolling_dfa(returns, protocol):
