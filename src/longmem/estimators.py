@@ -208,7 +208,8 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     for it, and fills one column of a windows x sizes matrix. Each step is
     element-wise, a sum or contraction along a row or an exact max or min, so a
     window gives the same bits alone or among others, whatever the chunks."""
-    window, step, ladder = protocol.window, protocol.step, protocol.ladder
+    # every step past the series gives the first window alone; capped, it fits int64
+    window, step, ladder = protocol.window, min(protocol.step, values.size), protocol.ladder
     order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
     windows = sliding_window_view(values, window)[::step]
     count = len(windows)

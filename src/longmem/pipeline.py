@@ -11,6 +11,7 @@ byte-for-byte deterministic.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -206,12 +207,11 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
 # ``str.strip()`` would also take NBSP and U+3000)
 _PAD = " \t\n\r\x0b\x0c"
 
-# Bytes of a price file read at a time by the block path. What a read leaves
-# of an unfinished line must be shorter than a block, so every line it reads
-# is under two blocks long.
+# Bytes of a price file's body read at a time, then cut after the last line
+# end; a read with no line end is finished with the rest of its line.
 BLOCK = 1 << 14
 
-# A body holding any of these bytes goes to the row parser: control bytes (a
+# A block holding any of these bytes goes to the row parser: control bytes (a
 # lone CR too, once CRLF is folded to LF), space, quotes, '#', '_' and every
 # byte outside ASCII.
 _ROW_PARSER_ONLY = bytes([*range(10), *range(11, 33), *b'"#_', *range(127, 256)])
@@ -231,17 +231,42 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     dated ``YYYY-MM-DD``, strictly increasing, with positive ASCII decimal prices;
     violations are rejected with the physical row number.
 
-    A clean file (ASCII, LF or CRLF lines, no quotes, padding, comments or
-    blank lines after the header, one cell per header cell on every row) is
-    read ``BLOCK`` bytes at a time with array checks. Anything else goes
-    through the row parser, which accepts every other form and raises every
-    error.
+    The file is read once: the lines up to the header one at a time by the
+    row parser, then the body ``BLOCK`` bytes at a time. A clean block (ASCII,
+    LF or CRLF lines, no quotes, padding, comments or blank lines, one cell
+    per header cell on every row, its first date after the last one read) is
+    checked with array operations; any other goes through the row parser,
+    which accepts every other form and raises every error.
     """
     path = Path(path)
-    if label is None:
-        label = path.stem
-    parsed = _ingest_blocks(path) if csv.field_size_limit() > 2 * BLOCK else None
-    dates, prices = _ingest_rows(path) if parsed is None else parsed
+    label = path.stem if label is None else label
+    row, layout = 0, None  # lines read, and the header's date and price columns and width
+    parts: list[tuple[np.ndarray, np.ndarray]] = []  # dates and prices, block by block
+    with path.open("rb") as fh:
+        while layout is None:
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}: no data rows")
+            row, layout = _read_rows(line, path, row, layout, parts)
+        tail = b""
+        while True:
+            data = fh.read(BLOCK)
+            if b"\n" not in data:
+                data += fh.readline()  # a line longer than a block ends in one more read
+            cut = data.rfind(b"\n") + 1 or len(data)
+            block, tail = tail + data[:cut], data[cut:]
+            if not block:
+                break
+            parsed = None
+            if len(block) < csv.field_size_limit():  # so no cell can be over the limit
+                parsed = _parse_block(block if block.endswith(b"\n") else block + b"\n", *layout)
+            if parsed is None or (parts and parsed[0][0] <= parts[-1][0][-1]):
+                row, layout = _read_rows(block, path, row, layout, parts)
+            else:
+                parts.append(parsed)
+                row += len(parsed[0])
+    dates, prices = map(np.concatenate, zip(*parts)) if parts else ((), ())
+    del parts  # before PriceSeries copies the joined arrays
     return PriceSeries(label, dates, prices)
 
 
@@ -253,106 +278,71 @@ def _header(line: str) -> tuple[int, int, int]:
     return columns.index("date"), columns.index("price"), len(columns)
 
 
-def _ingest_rows(path: Path) -> tuple[np.ndarray, list[float]]:
-    """The row parser: one row at a time, every error with its row number."""
-    width = 0  # cells a data row needs; 0 until the header is read
+def _read_rows(block: bytes, path: Path, row: int, layout: tuple[int, int, int] | None,
+               parts: list) -> tuple[int, tuple[int, int, int] | None]:
+    """The row parser: the lines of ``block``, whole lines of the file after its
+    first ``row``, one at a time. It reads the header while ``layout`` is None
+    and appends the rows to ``parts``, each date after the one before (at first
+    the last in ``parts``). Returns the row count and layout; an error names its row."""
+    last = parts[-1][0][-1].item() if parts else None
+    date_idx, price_idx, _ = layout or (0, 0, 0)
     dates: list[Date] = []
     prices: list[float] = []
-    # undecodable bytes come through as lone surrogates, so they can be
-    # reported with the row they are on
-    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                if not raw.isascii():
-                    try:
-                        raw.encode()
-                    except UnicodeEncodeError as exc:
-                        byte = ord(raw[exc.start]) - 0xDC00
-                        raise ValueError(f"not UTF-8 (byte 0x{byte:02x} "
-                                         f"at column {exc.start + 1})") from None
-                stripped = raw.strip(_PAD)
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if not width:
-                    date_idx, price_idx, _ = _header(raw)
-                    width = max(date_idx, price_idx) + 1
-                    continue
-                cells = next(csv.reader([raw]))
-                if len(cells) < width:
-                    raise ValueError(f"expected at least {width} columns")
-                try:
-                    d = _iso_date(cells[date_idx].strip(_PAD))
-                except ValueError as exc:
-                    raise ValueError(f"unparsable date {cells[date_idx]!r}") from exc
-                raw_price = cells[price_idx].strip(_PAD)
-                if raw_price == "":
-                    raise ValueError("blank price")
-                try:
-                    # float() also takes '1_000' and non-ASCII digits, such as full-width ones
-                    if not raw_price.isascii() or "_" in raw_price:
-                        raise ValueError
-                    p = float(raw_price)
-                except ValueError as exc:
-                    raise ValueError(f"unparsable price {raw_price!r}") from exc
-                if not math.isfinite(p):
-                    raise ValueError(f"non-finite price {raw_price}")
-                if p <= 0:
-                    raise ValueError(f"non-positive price {raw_price}")
-                if dates and d == dates[-1]:
-                    raise ValueError(f"duplicate date {d.isoformat()}")
-                if dates and d < dates[-1]:
-                    raise ValueError(f"dates not increasing ({d.isoformat()} "
-                                     f"after {dates[-1].isoformat()})")
-            except (ValueError, csv.Error) as exc:
-                raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-            dates.append(d)
-            prices.append(p)
-    if not width:
-        raise ValueError(f"{path}: no data rows")
-    # from day numbers: numpy converts a sequence of dates some 20 times slower
-    days = np.fromiter(map(Date.toordinal, dates), np.int64, len(dates))
-    return _DATE_MIN + (days - 1), prices
-
-
-def _ingest_blocks(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """Dates and prices of a clean file, or None at the first line that only
-    the row parser reads. Comment and blank lines before the header are read
-    one at a time, then the body ``BLOCK`` bytes at a time."""
-    with path.open("rb") as fh:
-        line = fh.readline(BLOCK).removeprefix(b"\xef\xbb\xbf")
-        while True:
-            if not line.endswith(b"\n") or not line.isascii() \
-                    or b"\r" in line.replace(b"\r\n", b"\n"):
-                return None  # no body, a long line, or one the row parser reads
-            text = line.decode()
-            stripped = text.strip(_PAD)
-            if stripped and not stripped.startswith("#"):
-                break
-            line = fh.readline(BLOCK)
+    # undecodable bytes come through as lone surrogates, so they can be reported
+    # with their row; the first line may open with a byte order mark
+    for raw in io.TextIOWrapper(io.BytesIO(block), "utf-8" if row else "utf-8-sig",
+                                "surrogateescape", newline=""):  # LF, CRLF or lone CR ends a line
+        row += 1
         try:
-            layout = _header(text)
-        except (ValueError, csv.Error):
-            return None
-        blocks: list[tuple[np.ndarray, np.ndarray]] = []  # dates and prices of each
-        tail = b""
-        while True:
-            data = fh.read(BLOCK)
-            block = tail + data
-            if data:
-                cut = block.rfind(b"\n") + 1
-                block, tail = block[:cut], block[cut:]
-                if len(tail) >= BLOCK:
-                    return None  # an unfinished line as long as a block
-            elif block and not block.endswith(b"\n"):
-                block += b"\n"  # the last line has no newline
-            if block:
-                parsed = _parse_block(block, *layout)
-                if parsed is None or (blocks and parsed[0][0] <= blocks[-1][0][-1]):
-                    return None
-                blocks.append(parsed)
-            if not data:
-                break
-    return tuple(map(np.concatenate, zip(*blocks))) if blocks else None
+            if not raw.isascii():
+                try:
+                    raw.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise ValueError(f"not UTF-8 (byte 0x{byte:02x} "
+                                     f"at column {exc.start + 1})") from None
+            stripped = raw.strip(_PAD)
+            if not stripped or stripped.startswith("#"):
+                continue
+            if layout is None:
+                date_idx, price_idx, _ = layout = _header(raw)
+                continue
+            cells = next(csv.reader([raw]))
+            if len(cells) <= date_idx or len(cells) <= price_idx:
+                raise ValueError(f"expected at least {max(date_idx, price_idx) + 1} columns")
+            try:
+                d = _iso_date(cells[date_idx].strip(_PAD))
+            except ValueError as exc:
+                raise ValueError(f"unparsable date {cells[date_idx]!r}") from exc
+            raw_price = cells[price_idx].strip(_PAD)
+            if raw_price == "":
+                raise ValueError("blank price")
+            try:
+                # float() also takes '1_000' and non-ASCII digits, such as full-width ones
+                if not raw_price.isascii() or "_" in raw_price:
+                    raise ValueError
+                p = float(raw_price)
+            except ValueError as exc:
+                raise ValueError(f"unparsable price {raw_price!r}") from exc
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite price {raw_price}")
+            if p <= 0:
+                raise ValueError(f"non-positive price {raw_price}")
+            if d == last:
+                raise ValueError(f"duplicate date {d.isoformat()}")
+            if last is not None and d < last:
+                raise ValueError(f"dates not increasing ({d.isoformat()} "
+                                 f"after {last.isoformat()})")
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: row {row}: {exc}") from exc
+        dates.append(d)
+        prices.append(p)
+        last = d
+    if dates:
+        # from day numbers: numpy converts a sequence of dates some 20 times slower
+        days = np.fromiter(map(Date.toordinal, dates), np.int64, len(dates))
+        parts.append((_DATE_MIN + (days - 1), np.array(prices)))
+    return row, layout
 
 
 def _parse_block(block: bytes, date_idx: int, price_idx: int,

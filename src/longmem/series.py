@@ -98,10 +98,18 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     """Continuously compounded percent returns, dated by the later observation.
 
     r[t+1] = ln(p[t+1] / p[t]) * 100
+
+    A ratio of two prices that leaves the float range raises, naming them.
     """
-    with np.errstate(divide="ignore", over="ignore"):  # ReturnSeries names a non-finite return
-        p = prices.values
-        return ReturnSeries(prices.id, prices.dates[1:], np.log(p[1:] / p[:-1]) * 100.0)
+    p = prices.values
+    with np.errstate(over="ignore"):  # the check below names the prices
+        ratio = p[1:] / p[:-1]
+    bad = np.flatnonzero(~((ratio > 0) & (ratio < np.inf)))
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"prices {float(p[t])} then {float(p[t + 1])} at {prices.dates[t + 1]}: "
+                         f"their ratio {'over' if ratio[t] else 'under'}flows the float range")
+    return ReturnSeries(prices.id, prices.dates[1:], np.log(ratio) * 100.0)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ the fGn generator cannot move them. They were made once:
   before, as in an index accruing while stale, and every later price keeping
   ``synth.csv``'s ratio to the one before. Windows 44-53 hold three 128-blocks
   of accrual;
+- ``messy.csv``: ``synth.csv`` as a spreadsheet might export it: CRLF line
+  ends, a comment after the header, the 101st date quoted, the 1,151st row
+  padded with spaces and a tab, and a trailing blank line. Its run, labelled
+  ``synth``, writes and prints what ``run_default`` does;
 - ``badrow.csv``: an unparsable price in row 5;
 - ``nonutf8.csv``: a ``0xff`` byte in row 4.
 """
@@ -42,10 +46,12 @@ EXPECTED = HERE / "expected"
 
 SPLIT = ("--split-date", "2001-06-01")
 
-# case name -> CLI arguments; every input is named by its file name, and
-# "out" is the output directory, both inside the case's work directory
+# case name -> CLI arguments; every input is named by its file name, with or
+# without a ":label", and "out" is the output directory, both inside the
+# case's work directory
 CASES = {
     "run_default": ("run", "synth.csv", "--output-dir", "out"),
+    "run_messy": ("run", "messy.csv:synth", "--output-dir", "out"),
     "run_split": ("run", "synth.csv", *SPLIT, "--output-dir", "out"),
     "run_rs_end": ("run", "synth.csv", *SPLIT, "--estimator", "rs", "--split-by", "end",
                    "--output-dir", "out"),
@@ -74,7 +80,8 @@ def run_case(name: str, work: Path) -> dict[str, bytes]:
     """
     for path in INPUTS.iterdir():
         shutil.copyfile(path, work / path.name)
-    args = [str(work / a) if (INPUTS / a).is_file() or a == "out" else a for a in CASES[name]]
+    args = [str(work / a) if (INPUTS / a.partition(":")[0]).is_file() or a == "out" else a
+            for a in CASES[name]]
     result = CliRunner().invoke(main, args)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception

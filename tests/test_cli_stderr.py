@@ -29,4 +29,6 @@ def test_non_finite_return_prints_one_line(tmp_path, command, first, second):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 2
-    assert proc.stderr == "error: uf: non-finite return at 2020-01-02\n"
+    ratio = "underflows" if float(first) > float(second) else "overflows"
+    assert proc.stderr == (f"error: uf: prices {float(first)!r} then {float(second)!r} at "
+                           f"2020-01-02: their ratio {ratio} the float range\n")

@@ -47,6 +47,15 @@ def test_golden_case(tmp_path, name):
             assert got[rel].decode() == data.decode(), rel
 
 
+def test_messy_copy_of_an_input_runs_as_the_clean_one(tmp_path):
+    # live runs, as expected/ holds JSON floats only to within the tolerance above
+    runs = []
+    for name in ("run_default", "run_messy"):
+        (tmp_path / name).mkdir()
+        runs.append(run_case(name, tmp_path / name))
+    assert runs[1] == runs[0]
+
+
 def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch):
     expected = tmp_path / "expected"
     for name in ("hurst", "describe"):

@@ -141,35 +141,94 @@ SIDES = pytest.mark.parametrize("side", [0, 1], ids=["last_of_block", "first_of_
 
 
 class TestBlockPath:
-    def test_clean_file_and_crlf_copy_never_reach_the_row_parser(self, tmp_path, monkeypatch):
+    @staticmethod
+    def record_row_parser(monkeypatch):
+        """The blocks ``ingest_csv`` hands the row parser, in order."""
+        calls, row_parser = [], pipeline._read_rows
+        monkeypatch.setattr(pipeline, "_read_rows",
+                            lambda block, *state: calls.append(block) or row_parser(block, *state))
+        return calls
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_clean_file_sends_the_row_parser_only_the_lines_up_to_the_header(
+            self, tmp_path, monkeypatch, newline):
         plain = emit_synth(FgnSpec(h=0.6, n=4999, seed=5), tmp_path / "p.csv")
-        crlf = tmp_path / "c.csv"
-        crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+        path = tmp_path / "s.csv"
+        path.write_bytes(plain.read_bytes().replace(b"\n", newline))
         want = outcome(reference_ingest_csv, plain)
-
-        def row_parser(path):
-            raise AssertionError(f"row parser called for {path}")
-
-        monkeypatch.setattr(pipeline, "_ingest_rows", row_parser)
+        calls = self.record_row_parser(monkeypatch)
         assert len(want[0]) == 5000
-        assert outcome(ingest_csv, plain) == want
-        assert outcome(ingest_csv, crlf) == want
+        assert outcome(ingest_csv, path) == want
+        head = path.read_bytes().split(b"date,price")[0]
+        assert calls == [line + newline for line in head.split(newline)[:-1]] \
+            + [b"date,price" + newline]
 
-    def test_row_parser_hands_over_the_block_path_dates(self, tmp_path, seed_bytes,
-                                                        monkeypatch):
-        # a comment line after the header sends the whole file to the row parser
+    def test_comment_after_the_header_sends_the_row_parser_only_its_block(
+            self, tmp_path, seed_bytes, monkeypatch):
         body = seed_bytes.index(b"date,price\n") + len(b"date,price\n")
         clean, commented = tmp_path / "clean.csv", tmp_path / "commented.csv"
         clean.write_bytes(seed_bytes)
-        commented.write_bytes(seed_bytes[:body] + b"# after the header\n" + seed_bytes[body:])
-        calls, row_parser = [], pipeline._ingest_rows
-        monkeypatch.setattr(pipeline, "_ingest_rows",
-                            lambda path: calls.append(path) or row_parser(path))
-        block, rows = ingest_csv(clean), ingest_csv(commented)
-        assert calls == [commented]
+        comment = b"# after the header\n"
+        commented.write_bytes(seed_bytes[:body] + comment + seed_bytes[body:])
+        block = ingest_csv(clean)
+        calls = self.record_row_parser(monkeypatch)
+        rows = ingest_csv(commented)
+        # the header lines one at a time, then the first body block alone
+        cut = commented.read_bytes().rfind(b"\n", 0, body + BLOCK) + 1
+        assert calls == [*seed_bytes[:body].splitlines(keepends=True),
+                         commented.read_bytes()[body:cut]]
+        assert calls[-1].startswith(comment)
         assert rows.dates.dtype == block.dates.dtype == np.dtype("datetime64[D]")
         assert len(rows) == 2401 and np.array_equal(rows.dates, block.dates)
         assert rows.values.tobytes() == block.values.tobytes()
+
+    def test_rows_after_a_lone_carriage_return_header_are_kept(self, tmp_path, seed_bytes):
+        # the header and the first rows end in a lone CR, so they share the
+        # file's first LF-ended line
+        body = seed_bytes.index(b"date,price\n")
+        head, rest = seed_bytes[:body], seed_bytes[body:]
+        rows = rest.split(b"\n", 4)
+        path = tmp_path / "s.csv"
+        path.write_bytes(head + b"\r".join(rows[:4]) + b"\n" + rows[4])
+        assert b"\r2000-01-03," in path.read_bytes()
+        assert len(assert_same_as_reference(path)[0]) == 2401
+
+    @pytest.mark.parametrize("odd", [0, 1], ids=["rows_then_block", "block_then_rows"])
+    def test_row_number_and_last_date_carry_between_the_readers(self, tmp_path, seed_bytes, odd):
+        # a padded row ends the first block or opens the second, whose first
+        # row repeats the first block's last date; a price digit makes room
+        # for the pad, so the blocks are cut where they were
+        spans = boundary_rows(seed_bytes)
+        day = cells_of(seed_bytes, spans[0])[0]
+        rows = [cells_of(seed_bytes, span) for span in spans]
+        rows[1][0] = day
+        rows[odd] = [b" " + rows[odd][0], rows[odd][1][:-1]]
+        data = seed_bytes
+        for span, cells in zip(spans, rows):
+            data = edit_row(data, span, b",".join(cells) + b"\n")
+        assert len(data) == len(seed_bytes)
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        row = seed_bytes[:spans[1][0]].count(b"\n") + 1
+        assert assert_same_as_reference(path).endswith(
+            f"row {row}: duplicate date {day.decode()}")
+
+    def test_a_finite_cell_over_the_field_size_limit_fails_its_row(self, tmp_path, seed_bytes):
+        span = boundary_rows(seed_bytes)[1]
+        price = b"1." + b"0" * csv.field_size_limit()
+        path = tmp_path / "s.csv"
+        path.write_bytes(edit_row(seed_bytes, span, cells_of(seed_bytes, span)[0] + b","
+                                  + price + b"\n"))
+        assert "field larger than field limit" in assert_same_as_reference(path)
+
+    def test_a_lowered_field_size_limit_holds_in_every_block(self, tmp_path, seed_bytes):
+        path = tmp_path / "s.csv"
+        path.write_bytes(seed_bytes)
+        limit = csv.field_size_limit(16)
+        try:
+            assert "row 7: field larger than field limit (16)" in assert_same_as_reference(path)
+        finally:
+            csv.field_size_limit(limit)
 
     @pytest.mark.parametrize("cell", [
         "1", "1.5", "-1", "+1", ".5", "5.", "1e5", "1E5", "1e+5", "1e-5", "nan", "NaN",

@@ -755,6 +755,17 @@ class TestCli:
             res.stderr)
 
     @pytest.mark.parametrize("estimator", ["dfa", "rs"])
+    def test_step_past_the_int64_range_gives_one_window(self, tmp_path, synth_file, estimator):
+        step = 2**63
+        res = self.invoke("run", str(synth_file), "--estimator", estimator, "--step", str(step),
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 2
+        assert res.stderr == (
+            f"error: serie: 1 rolling windows, fewer than the 4 needed: window 500 at step "
+            f"{step} needs at least {500 + 3 * step} returns, the series has 1300\n")
+        assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("estimator", ["dfa", "rs"])
     def test_fixed_rate_prices_have_no_hurst_exponent(self, tmp_path, estimator):
         # log returns of a price compounding at a fixed rate vary only by rounding
         start = date(2000, 1, 3)
