@@ -11,10 +11,10 @@ byte-for-byte deterministic.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
@@ -207,13 +207,12 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
 # ``str.strip()`` would also take NBSP and U+3000)
 _PAD = " \t\n\r\x0b\x0c"
 
-# Bytes of a price file's body read at a time, then cut after the last line
-# end; a read with no line end is finished with the rest of its line.
+# Characters (bytes, in an ASCII file) of a price file's body read at a time, then
+# cut after the last line end; a read with no line end is finished with the rest of its line.
 BLOCK = 1 << 14
 
-# A block holding any of these bytes goes to the row parser: control bytes (a
-# lone CR too, once CRLF is folded to LF), space, quotes, '#', '_' and every
-# byte outside ASCII.
+# A block holding any of these bytes goes to the row parser: control bytes,
+# space, quotes, '#', '_' and every byte outside ASCII.
 _ROW_PARSER_ONLY = bytes([*range(10), *range(11, 33), *b'"#_', *range(127, 256)])
 
 # Least value and span above it of each byte of a date cell with the comma
@@ -231,35 +230,36 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
     dated ``YYYY-MM-DD``, strictly increasing, with positive ASCII decimal prices;
     violations are rejected with the physical row number.
 
-    The file is read once: the lines up to the header one at a time by the
-    row parser, then the body ``BLOCK`` bytes at a time. A clean block (ASCII,
-    LF or CRLF lines, no quotes, padding, comments or blank lines, one cell
-    per header cell on every row, its first date after the last one read) is
-    checked with array operations; any other goes through the row parser,
-    which accepts every other form and raises every error.
+    The file is decoded once, with LF, CRLF and a lone CR each read as LF: the
+    lines up to the header go one at a time to the row parser, then the body
+    ``BLOCK`` characters at a time. A clean block (ASCII, no quotes, padding,
+    comments or blank lines, one cell per header cell on every row, its first
+    date after the last one read) is checked with array operations; any other
+    goes through the row parser, which accepts every other form and raises every error.
     """
     path = Path(path)
     label = path.stem if label is None else label
     row, layout = 0, None  # lines read, and the header's date and price columns and width
     parts: list[tuple[np.ndarray, np.ndarray]] = []  # dates and prices, block by block
-    with path.open("rb") as fh:
+    # an undecodable byte comes through as a lone surrogate, reported with its row
+    with path.open(encoding="utf-8-sig", errors="surrogateescape") as fh:
         while layout is None:
             line = fh.readline()
             if not line:
                 raise ValueError(f"{path}: no data rows")
             row, layout = _read_rows(line, path, row, layout, parts)
-        tail = b""
+        tail = ""
         while True:
             data = fh.read(BLOCK)
-            if b"\n" not in data:
+            if "\n" not in data:
                 data += fh.readline()  # a line longer than a block ends in one more read
-            cut = data.rfind(b"\n") + 1 or len(data)
+            cut = data.rfind("\n") + 1 or len(data)
             block, tail = tail + data[:cut], data[cut:]
             if not block:
                 break
             parsed = None
             if len(block) < csv.field_size_limit():  # so no cell can be over the limit
-                parsed = _parse_block(block if block.endswith(b"\n") else block + b"\n", *layout)
+                parsed = _parse_block(block if block.endswith("\n") else block + "\n", *layout)
             if parsed is None or (parts and parsed[0][0] <= parts[-1][0][-1]):
                 row, layout = _read_rows(block, path, row, layout, parts)
             else:
@@ -278,7 +278,7 @@ def _header(line: str) -> tuple[int, int, int]:
     return columns.index("date"), columns.index("price"), len(columns)
 
 
-def _read_rows(block: bytes, path: Path, row: int, layout: tuple[int, int, int] | None,
+def _read_rows(block: str, path: Path, row: int, layout: tuple[int, int, int] | None,
                parts: list) -> tuple[int, tuple[int, int, int] | None]:
     """The row parser: the lines of ``block``, whole lines of the file after its
     first ``row``, one at a time. It reads the header while ``layout`` is None
@@ -288,10 +288,8 @@ def _read_rows(block: bytes, path: Path, row: int, layout: tuple[int, int, int] 
     date_idx, price_idx, _ = layout or (0, 0, 0)
     dates: list[Date] = []
     prices: list[float] = []
-    # undecodable bytes come through as lone surrogates, so they can be reported
-    # with their row; the first line may open with a byte order mark
-    for raw in io.TextIOWrapper(io.BytesIO(block), "utf-8" if row else "utf-8-sig",
-                                "surrogateescape", newline=""):  # LF, CRLF or lone CR ends a line
+    # each line with its LF (str.splitlines would also split at \x0b, \x85 and more)
+    for raw in re.findall(r".*\n|.+", block):
         row += 1
         try:
             if not raw.isascii():
@@ -345,16 +343,13 @@ def _read_rows(block: bytes, path: Path, row: int, layout: tuple[int, int, int] 
     return row, layout
 
 
-def _parse_block(block: bytes, date_idx: int, price_idx: int,
+def _parse_block(text: str, date_idx: int, price_idx: int,
                  ncols: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Dates and prices of a block of whole lines, or None unless every line
     is ``ncols`` bare cells with a ``YYYY-MM-DD`` date and a finite positive
     price, and the dates strictly increase."""
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
-    if len(block.translate(None, _ROW_PARSER_ONLY)) != len(block):
+    if not text.isascii() or len(text.encode().translate(None, _ROW_PARSER_ONLY)) != len(text):
         return None
-    text = block.decode("ascii")
     rows, stride = text.count("\n"), ncols + 1
     # each newline becomes a cell of its own, so rows of ncols cells put one
     # at every stride-th place
@@ -412,9 +407,14 @@ def emit_synth(spec: FgnSpec, path: Path | str) -> Path:
     Prices follow p[0] = 1, p[t+1] = p[t] * exp(x[t]/100), so re-ingesting the
     file and taking log returns recovers the generated noise. The seed and H
     are recorded in '#' header comments. Raises PipelineError, before writing,
-    when a price overflows to inf or underflows to 0.
+    when the last price would be dated past 9999-12-31, or a price overflows to
+    inf or underflows to 0.
     """
     path = Path(path)
+    most = (Date.max - SYNTH_EPOCH).days  # the last price is dated SYNTH_EPOCH + n days
+    if spec.n > most:
+        raise PipelineError(f"cannot write {path}: price {spec.n} would be dated past "
+                            f"{Date.max}; n may be at most {most}")
     noise = generate_fgn(spec)
     log_prices = np.concatenate([[0.0], np.cumsum(noise / 100.0)])
     with np.errstate(over="ignore"):  # the check below names the price

@@ -6,6 +6,10 @@ differs from that code in one respect only: cells and lines are stripped of
 ASCII whitespace alone, as ``ingest_csv`` now strips them. Every input must
 give the same series (equal dates, bit-equal prices) or a ``ValueError`` with
 the same message, wherever in the file, and whichever block, the oddity lies.
+
+One message differs by design: ``ingest_csv`` decodes with universal newlines,
+so a quoted date cell left open, which takes in its line end, is quoted in the
+error with LF where the file had CRLF or a lone CR.
 """
 
 import csv
@@ -159,9 +163,9 @@ class TestBlockPath:
         calls = self.record_row_parser(monkeypatch)
         assert len(want[0]) == 5000
         assert outcome(ingest_csv, path) == want
-        head = path.read_bytes().split(b"date,price")[0]
-        assert calls == [line + newline for line in head.split(newline)[:-1]] \
-            + [b"date,price" + newline]
+        # decoded text, whose lines end in LF whatever the file's line end
+        head = plain.read_text().split("date,price")[0]
+        assert calls == [line + "\n" for line in head.split("\n")[:-1]] + ["date,price\n"]
 
     def test_comment_after_the_header_sends_the_row_parser_only_its_block(
             self, tmp_path, seed_bytes, monkeypatch):
@@ -175,9 +179,9 @@ class TestBlockPath:
         rows = ingest_csv(commented)
         # the header lines one at a time, then the first body block alone
         cut = commented.read_bytes().rfind(b"\n", 0, body + BLOCK) + 1
-        assert calls == [*seed_bytes[:body].splitlines(keepends=True),
-                         commented.read_bytes()[body:cut]]
-        assert calls[-1].startswith(comment)
+        assert calls == [*seed_bytes[:body].decode().splitlines(keepends=True),
+                         commented.read_bytes()[body:cut].decode()]
+        assert calls[-1].startswith(comment.decode())
         assert rows.dates.dtype == block.dates.dtype == np.dtype("datetime64[D]")
         assert len(rows) == 2401 and np.array_equal(rows.dates, block.dates)
         assert rows.values.tobytes() == block.values.tobytes()
@@ -192,6 +196,13 @@ class TestBlockPath:
         path.write_bytes(head + b"\r".join(rows[:4]) + b"\n" + rows[4])
         assert b"\r2000-01-03," in path.read_bytes()
         assert len(assert_same_as_reference(path)[0]) == 2401
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_an_open_quote_takes_in_its_line_end_as_lf(self, tmp_path, newline):
+        path = tmp_path / "s.csv"
+        path.write_bytes(newline.join([b"price,date", b"1.5,2001-01-02", b'1.6,"2001-01-0x', b""]))
+        with pytest.raises(ValueError, match=re.escape("row 3: unparsable date '2001-01-0x\\n'")):
+            ingest_csv(path)
 
     @pytest.mark.parametrize("odd", [0, 1], ids=["rows_then_block", "block_then_rows"])
     def test_row_number_and_last_date_carry_between_the_readers(self, tmp_path, seed_bytes, odd):
@@ -250,11 +261,12 @@ class TestSameAsReference:
         path.write_bytes(seed_bytes)
         assert len(assert_same_as_reference(path)[0]) == 2401
 
-    @pytest.mark.parametrize("form", ["bom", "crlf", "no_final_newline", "header_only"])
+    @pytest.mark.parametrize("form", ["bom", "crlf", "cr", "no_final_newline", "header_only"])
     def test_file_forms(self, tmp_path, seed_bytes, form):
         data = {
             "bom": b"\xef\xbb\xbf" + seed_bytes,
             "crlf": seed_bytes.replace(b"\n", b"\r\n"),
+            "cr": seed_bytes.replace(b"\n", b"\r"),
             "no_final_newline": seed_bytes.rstrip(b"\n"),
             "header_only": seed_bytes[:seed_bytes.index(b"date,price\n") + 11],
         }[form]
@@ -293,7 +305,11 @@ class TestSameAsReference:
         assert isinstance(got, tuple) == accepted, got
 
     @SIDES
-    @pytest.mark.parametrize("line", [b"# mid-file comment\n", b"\n", b"  \r\n"])
+    @pytest.mark.parametrize("line", [
+        b"# mid-file comment\n", b"\n", b"  \r\n",
+        # characters that str.splitlines would take for line ends
+        b"# a\x0bb\x0cc\x1cd\x1de\x1ef\xc2\x85g\xe2\x80\xa8h\xe2\x80\xa9i\n",
+    ])
     def test_lines_between_rows_at_a_block_boundary(self, tmp_path, seed_bytes, side, line):
         start = boundary_rows(seed_bytes)[side][0]
         path = tmp_path / "s.csv"
@@ -369,7 +385,10 @@ def traced_peak(ingest, path):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n, slack", [(100_000, 0), (4_203, 2**18)])
-def test_traced_peak_no_higher_than_reference(tmp_path, n, slack):
+@pytest.mark.parametrize("n, slack, newline", [
+    (100_000, 0, b"\n"), (4_203, 2**18, b"\n"), (100_000, 0, b"\r"),
+], ids=["100000-0", "4203-262144", "100000-0-cr"])
+def test_traced_peak_no_higher_than_reference(tmp_path, n, slack, newline):
     path = emit_synth(FgnSpec(h=0.6, n=n, seed=8), tmp_path / "s.csv")
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
     assert traced_peak(ingest_csv, path) <= traced_peak(reference_ingest_csv, path) + slack

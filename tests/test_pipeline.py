@@ -569,16 +569,19 @@ class TestCli:
         "split_by": ("middle", "error: split_by must be 'start' or 'end'"),
         "confidence_level": ("1.5", "error: confidence_level must lie in (0.5, 1)"),
         "formats": ("xml", "error: unknown formats: ['xml']"),
+        "formats-none": (",", "error: at least one output format is required"),
     }
 
+    # one case per flag of `run`, and further cases named <flag>-<case>
     @pytest.mark.parametrize("key", [
         p.name for p in main.commands["run"].params
         if p.name not in ("inputs", "config_file", "output_dir")
-    ])
+    ] + ["formats-none"])
     def test_bad_setting_exits_one_alike_from_flag_and_config_file(
         self, tmp_path, synth_file, key
     ):
         value, message = self.BAD_SETTINGS[key]
+        key = key.partition("-")[0]
         cfg_file = tmp_path / "cfg"
         cfg_file.write_text(f"{key} = {value}\n")
         out = tmp_path / "o"
@@ -698,6 +701,16 @@ class TestCli:
                           "--output-dir", str(out))
         assert res.exit_code == 1
         assert res.stderr == f"error: {cfg_file}:3: duplicate key 'window' (first on line 1)\n"
+        assert not out.exists()
+
+    def test_config_line_without_equals_sign_exits_one(self, tmp_path, synth_file):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("window 600\n")
+        out = tmp_path / "o"
+        res = self.invoke("run", str(synth_file), "--config", str(cfg_file),
+                          "--output-dir", str(out))
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {cfg_file}:1: expected 'key = value'\n"
         assert not out.exists()
 
     def test_config_file_with_byte_order_mark(self, tmp_path, synth_file):
@@ -904,6 +917,21 @@ class TestCli:
         assert res.stderr == f"error: {cause}\n"
         assert not out.exists()
 
+    def test_synth_past_the_calendar_exits_one_before_generating(self, tmp_path, monkeypatch):
+        # prices are dated daily from 2000-01-03; 2,921,937 days later is 9999-12-31
+        def generate(spec):
+            raise RuntimeError(f"generating n={spec.n}")
+        monkeypatch.setattr("longmem.pipeline.generate_fgn", generate)
+        out = tmp_path / "big.csv"
+        res = self.invoke("synth", str(out), "--h", "0.6", "--n", "2921938", "--seed", "1")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == (f"error: cannot write {out}: price 2921938 would be dated past "
+                              "9999-12-31; n may be at most 2921937\n")
+        assert not out.exists()
+        res = self.invoke("synth", str(out), "--h", "0.6", "--n", "2921937", "--seed", "1")
+        assert str(res.exception) == "generating n=2921937"
+
     def test_synth_whose_prices_leave_the_float_range_exits_one(self, tmp_path):
         # 1e5 percent noise: the cumulative log price passes exp's range in days
         out = tmp_path / "big.csv"
@@ -931,6 +959,18 @@ class TestCli:
             "--split-date", "2001-12-01",
         )
         assert res.exit_code == 2
+        assert (out / "serie_stats.json").exists()
+
+    @pytest.mark.parametrize("text", ["", "# comments\n\n  \n# and blank lines\n"],
+                             ids=["empty", "comments"])
+    def test_file_without_rows_exits_two(self, tmp_path, synth_file, text):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        out = tmp_path / "o"
+        res = self.invoke("run", str(path), str(synth_file), "--output-dir", str(out),
+                          "--split-date", "2001-12-01")
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: none: {path}: no data rows\n")
         assert (out / "serie_stats.json").exists()
 
     def test_unwritable_output_dir_exit_one(self, tmp_path, synth_file):
