@@ -207,7 +207,7 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     magnitude. Each ladder size is one pass over all windows, in chunks sized
     for it, and fills one column of a windows x sizes matrix. Each step is
     element-wise, a sum or contraction along a row or an exact max or min, so a
-    window gives the same bits alone or among others, whatever the chunks."""
+    window gives the same bits alone or among others, whatever the chunks or layout."""
     # every step past the series gives the first window alone; capped, it fits int64
     window, step, ladder = protocol.window, min(protocol.step, values.size), protocol.ladder
     order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
@@ -220,9 +220,8 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     stats = np.empty((count, len(ladder)))
     for column, m in enumerate(ladder):
         blocks = window // m
-        # caps: block values copied, the windows x blocks index, the map of block starts
-        per_size = max(1, min(2 * CHUNK // (m * min(blocks, step)), CHUNK // blocks,
-                              2 * CHUNK // step))
+        # caps: block values in the layout that holds fewer, the windows x blocks index
+        per_size = max(1, min(2 * CHUNK // (m * min(blocks, step)), CHUNK // blocks))
         for first in range(0, count, per_size):
             last = min(count, first + per_size)
             stats[first:last, column] = _shared_blocks(
@@ -237,24 +236,19 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
 def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
                    floor: np.ndarray, order: int | None = None) -> np.ndarray:
     """The statistic at size tau of each window of ``x`` that starts at
-    ``starts`` (increasing, evenly spaced). Each distinct tau-block is computed
-    once, as a row, and shared by every window that holds it. With ``order``,
-    DFA: each block's own profile is detrended (an order >= 1 fit removes the
-    affine term by which it differs from the window's profile), and F, the root
-    mean of the window's block residuals, counts above ``floor``. Without, R/S:
-    the mean over blocks whose range exceeds ``floor`` and whose standard
-    deviation stays positive; means, deviations and cumulative sums run along
-    rows, ranges down columns (``_ranges``), and a block with zero deviation
-    gets range -inf, so one gather decides which blocks count. A window with
-    nothing that counts gives 0."""
-    # block k of window i starts at starts[i] + k * tau; index[i, k] is its row
-    at = (starts - starts[0])[:, None] + tau * np.arange(window // tau)
-    present = np.zeros(at[-1, -1] + 1, dtype=bool)
-    present[at] = True
-    index = np.cumsum(present).take(at) - 1
-    blocks = sliding_window_view(x, tau)[starts[0] + np.flatnonzero(present)]
+    ``starts`` (increasing, evenly spaced), over the blocks as ``_block_layout``
+    reads them in place. With ``order``, DFA: each block's own profile is
+    detrended (an order >= 1 fit removes the affine term by which it differs
+    from the window's profile), and F, the root mean of the window's block
+    residuals, counts above ``floor``. Without, R/S: the mean over blocks whose
+    range exceeds ``floor`` and whose standard deviation stays positive; means,
+    deviations and cumulative sums run along blocks, ranges down columns
+    (``_ranges``), and a block with zero deviation gets range -inf, so one
+    gather decides which blocks count. A window with nothing that counts gives 0."""
+    blocks, index = _block_layout(x, starts, window, tau)
     if order is not None:
-        f = dfa_fluctuation(np.cumsum(blocks, axis=-1, out=blocks), tau, order)
+        # as rows, the shape whose bits are checked alone and in a stack
+        f = dfa_fluctuation(np.cumsum(blocks, axis=-1).reshape(-1, tau), tau, order)
         f = np.sqrt((f * f).take(index).mean(axis=-1))
         return np.where(f > floor, f, 0.0)
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
@@ -268,11 +262,27 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
     return rs.sum(axis=-1) / np.maximum(np.count_nonzero(keep, axis=-1), 1)
 
 
+def _block_layout(x: np.ndarray, starts: np.ndarray, window: int,
+                  tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tau-blocks of the windows of ``x`` at ``starts`` as a view along its
+    last axis, and index[i, k], the flat position of block k of window i in it.
+    Of two layouts, the one that holds fewer blocks, window-major on a tie (so
+    for one window): span, a block every g = gcd(step, tau) positions of the
+    chunk, where every block starts; or window-major, windows x blocks."""
+    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
+    g = math.gcd(step, tau)  # every block starts a multiple of g past starts[0]
+    at = (starts - starts[0])[:, None] + tau * np.arange(window // tau)
+    if at[-1, -1] // g + 1 < at.size:
+        return sliding_window_view(x, tau)[starts[0] : starts[0] + at[-1, -1] + 1 : g], at // g
+    rows = sliding_window_view(x, window)[starts[0] : starts[-1] + 1 : step, : at.shape[1] * tau]
+    return rows.reshape(*at.shape, tau), np.arange(at.size).reshape(at.shape)
+
+
 def _ranges(rows: np.ndarray) -> np.ndarray:
-    """``np.ptp(rows, axis=-1)`` of a 2-d stack, taken down the columns of a
-    transposed copy: numpy reduces a short row at a time but all columns at
+    """``np.ptp(rows, axis=-1)`` of a stack, taken down the columns of a copy with
+    the last axis first: numpy reduces a short row at a time but all columns at
     once. Max and min are exact in any order, so the bits are the same."""
-    cols = rows.T.copy()
+    cols = np.moveaxis(rows, -1, 0).copy()
     return cols.max(axis=0) - cols.min(axis=0)
 
 

@@ -132,14 +132,15 @@ def parse_input_spec(spec: str) -> tuple[Path, str]:
 
 def load_config_file(path: Path) -> dict[str, str]:
     """Flat ``key = value`` config format in UTF-8 (a leading byte order mark
-    is ignored); '#' starts a comment line, and a key may appear once."""
+    is ignored); '#' starts a comment line, and a key may appear once. Lines
+    end where the price reader ends them, at LF, CRLF or a lone CR."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

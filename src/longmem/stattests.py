@@ -68,6 +68,18 @@ class MannWhitneyResult:
     method: str  # "exact" | "normal"
 
 
+def _finite_samples(test: str, a: Sequence[float],
+                    b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as float arrays; a NaN or infinity raises, naming its
+    sample, since ranks and deviations would carry it into a plausible p."""
+    samples = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for name, x in zip(("first", "second"), samples):
+        bad = x[~np.isfinite(x)]
+        if bad.size:
+            raise ValueError(f"{test} needs finite samples: the {name} holds {bad[0]}")
+    return samples
+
+
 def _exact_u_counts(n1: int, n2: int) -> np.ndarray:
     """counts[u] = number of rank subsets of size n1 from 1..n1+n2 with U1 = u.
 
@@ -102,8 +114,7 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     there are no ties, otherwise from the normal approximation with
     tie-corrected variance and continuity correction.
     """
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
+    x, y = _finite_samples("Mann-Whitney", a, b)
     n1, n2 = x.size, y.size
     if n1 == 0 or n2 == 0:
         raise ValueError("Mann-Whitney needs non-empty samples")
@@ -143,8 +154,7 @@ class LeveneResult:
 def levene(a: Sequence[float], b: Sequence[float]) -> LeveneResult:
     """Levene test of equal variances via one-way ANOVA on the absolute
     deviations from each sample's mean."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
+    x, y = _finite_samples("Levene", a, b)
     if x.size < 2 or y.size < 2:
         raise ValueError("Levene needs at least 2 observations per sample")
     zx = np.abs(x - x.mean())

@@ -28,6 +28,11 @@ replaced. They differ only in summation order, so those tests allow 1e-14
 relative above rounding, and ask for the same bits of a row alone or in a
 stack. ``previous_fit_power_law`` is ``fit_power_law`` before its size side
 was cached, and must give the same bits.
+
+``previous_shared_blocks`` is ``_shared_blocks`` before it read its blocks in
+place: a map of the chunk's block starts, its cumulative sum as each block's
+row and one gather of each distinct block. The kernel now reads them through
+a span or a window-major view and must give the same bits.
 """
 
 import math
@@ -463,6 +468,8 @@ def test_ranges_equal_ptp_along_rows():
     values.flags.writeable = False
     same_bits_as_ptp(values)
     same_bits_as_ptp(sliding_window_view(values[0], 16)[::5])
+    # a windows x blocks x size stack, as the window-major layout reads it
+    same_bits_as_ptp(sliding_window_view(values[0], 64)[::7, :60].reshape(-1, 4, 15))
 
 
 def reference_rolling_dfa(returns, protocol):
@@ -758,3 +765,95 @@ def test_failed_fits_leave_the_cached_sizes_intact():
             with pytest.raises(ValueError, match=f"^power-law fit needs {cause}$"):
                 fit_power_law(bad)
             assert fit_power_law(good) == want
+
+
+def previous_shared_blocks(x, starts, window, tau, floor, order=None):
+    """``_shared_blocks`` before its blocks were read in place, kept as it was:
+    a map of the chunk's block starts, its cumulative sum as each block's row,
+    and a gather of each distinct block once."""
+    at = (starts - starts[0])[:, None] + tau * np.arange(window // tau)
+    present = np.zeros(at[-1, -1] + 1, dtype=bool)
+    present[at] = True
+    index = np.cumsum(present).take(at) - 1
+    blocks = sliding_window_view(x, tau)[starts[0] + np.flatnonzero(present)]
+    if order is not None:
+        f = dfa_fluctuation(np.cumsum(blocks, axis=-1, out=blocks), tau, order)
+        f = np.sqrt((f * f).take(index).mean(axis=-1))
+        return np.where(f > floor, f, 0.0)
+    dev = blocks - blocks.mean(axis=-1, keepdims=True)
+    s = np.sqrt(np.mean(dev**2, axis=-1))
+    varies = s > 0
+    spread = np.where(varies, estimators._ranges(blocks), -np.inf)
+    cum = np.cumsum(dev, axis=-1, out=dev)
+    rs = np.divide(estimators._ranges(cum), s, out=np.zeros_like(s), where=varies)
+    keep = spread.take(index) > floor[:, None]
+    rs = np.where(keep, rs.take(index), 0.0)
+    return rs.sum(axis=-1) / np.maximum(np.count_nonzero(keep, axis=-1), 1)
+
+
+def test_shared_blocks_give_the_previous_bits():
+    """Seeded windows 60-1000 and steps 1-40, with steps that are multiples of
+    the block size and steps past the window; chunks of 1-150 windows; DFA of
+    orders 1-3 and R/S; stale stretches, some longer than a window, so some
+    statistics fall to the floor."""
+    rng = np.random.default_rng(1951)
+    layouts = {"span": 0, "window-major": 0}
+    floored = 0
+    for _ in range(300):
+        window = int(rng.integers(60, 1001))
+        tau = int(rng.integers(4, window // 2 + 1))
+        kind = rng.integers(4)
+        step = (tau * int(rng.integers(1, 4)) if kind == 0 else
+                int(rng.integers(window, window + 40)) if kind == 1 else
+                int(rng.integers(1, 41)))
+        count = 1 if rng.random() < 0.2 else int(rng.integers(2, 151))
+        values = rng.standard_normal(window + step * (count + 5)) * 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.5:
+            stale = min(int(rng.integers(tau, 2 * window)), values.size)
+            first = int(rng.integers(0, values.size - stale + 1))
+            values[first : first + stale] = 0.0
+        starts = step * (int(rng.integers(0, 6)) + np.arange(count))
+        rows = np.array(sliding_window_view(values, window)[starts])
+        floor = FLAT_SPREAD * np.maximum(-rows.min(axis=-1), rows.max(axis=-1))
+        blocks, index = estimators._block_layout(values, starts, window, tau)
+        layouts["span" if blocks.ndim == 2 else "window-major"] += 1
+        assert count > 1 or blocks.ndim == 3  # one window is always window-major
+        for order in (None, 1, 2, 3):
+            if order is not None and tau < order + 2:
+                continue
+            got = estimators._shared_blocks(values, starts, window, tau, floor, order)
+            want = previous_shared_blocks(values, starts, window, tau, floor, order)
+            assert got.tobytes() == want.tobytes(), (window, step, tau, count, order)
+            floored += int(np.count_nonzero(got == 0))
+    assert min(layouts.values()) > 0 and floored > 0, (layouts, floored)
+
+
+def test_block_layout_holds_few_blocks_twice(monkeypatch):
+    """Under the chunk caps of a rolling run, the blocks ``_block_layout`` holds
+    stay within 1.5 times the distinct blocks of the chunk, over windows
+    60-1000, steps 1-39 and sizes 4-250 (the span layout alone computes 3.5
+    times as many at window 998, step 3, size 200)."""
+    rng = np.random.default_rng(1685)
+    worst = 0.0
+
+    def layout(x, starts, window, tau, floor, order=None):
+        nonlocal worst
+        blocks, index = estimators._block_layout(x, starts, window, tau)
+        held = blocks.size // tau
+        distinct = np.unique(starts[:, None] + tau * np.arange(window // tau)).size
+        assert np.unique(index).size >= distinct
+        assert held <= 1.5 * distinct, (window, starts[:2], tau, len(starts))
+        worst = max(worst, held / distinct)
+        return np.ones(len(starts))
+
+    monkeypatch.setattr(estimators, "_shared_blocks", layout)
+    cases = [(998, 3, (50, 100, 200))] + [
+        (window := int(rng.integers(60, 1001)), int(rng.integers(1, 40)),
+         octave_draw(lambda: sorted(int(m) for m in rng.choice(
+             np.arange(4, min(250, window // 2) + 1), 4, replace=False))))
+        for _ in range(150)]
+    for window, step, sizes in cases:
+        protocol = RollingProtocol(window=window, step=step, ladder=BlockLadder(sizes))
+        values = np.zeros(window + step * int(rng.integers(0, 400)))
+        next(estimators._estimate_rows(values, protocol))
+    assert 1.0 <= worst <= 1.5

@@ -290,6 +290,21 @@ class TestRunConfig:
         assert cfg.split_date == date(2010, 5, 1)
         assert cfg.formats == {"json"}
 
+    def test_config_form_feed_ends_no_line(self, tmp_path):
+        # a page break after a value is trailing space on its line, not a line end
+        cfg_file = tmp_path / "f.cfg"
+        cfg_file.write_text("window = 500\f\nwindow = 1024\n")
+        with pytest.raises(PipelineError, match=r"f\.cfg:2: duplicate key 'window' "
+                                                r"\(first on line 1\)$"):
+            load_config_file(cfg_file)
+
+    def test_config_next_line_character_ends_no_line(self, tmp_path):
+        cfg_file = tmp_path / "f.cfg"
+        cfg_file.write_text("window = 500\u0085step = 3\r\nsplit_by = end\rformats = csv",
+                            encoding="utf-8", newline="")
+        assert load_config_file(cfg_file) == {
+            "window": "500\u0085step = 3", "split_by": "end", "formats": "csv"}
+
     @pytest.mark.parametrize("key", [
         key for key, (_, _, text) in _SETTINGS.items() if text and DEFAULT_NOTE.search(text)
     ])

@@ -130,6 +130,16 @@ class TestMannWhitney:
         with pytest.raises(ValueError, match="non-empty"):
             mann_whitney([], [1.0])
 
+    @pytest.mark.parametrize("a, b, held", [
+        ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "the first holds nan"),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], "the second holds inf"),
+        ([1.0, 2.0, 3.0], [-math.inf, math.nan], "the second holds -inf"),
+    ])
+    def test_non_finite_value_rejected(self, a, b, held):
+        # unchecked, a NaN would rank last and give a plausible p (1.0 here)
+        with pytest.raises(ValueError, match=f"^Mann-Whitney needs finite samples: {held}$"):
+            mann_whitney(a, b)
+
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n1=st.integers(min_value=1, max_value=20),
@@ -201,6 +211,15 @@ class TestLevene:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             levene([1.0], [2.0, 3.0])
+
+    @pytest.mark.parametrize("a, b, held", [
+        ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "the first holds nan"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf], "the second holds -inf"),
+    ])
+    def test_non_finite_value_rejected(self, a, b, held):
+        # unchecked, a NaN deviation would make w and p NaN
+        with pytest.raises(ValueError, match=f"^Levene needs finite samples: {held}$"):
+            levene(a, b)
 
 
 # ---------------------------------------------------------------- t bounds
