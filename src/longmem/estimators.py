@@ -203,20 +203,18 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     """One estimate per window of ``values`` under ``protocol``, whose checks
     have passed: ``window`` points starting every ``step`` points from the
     first. Each is fit to the ladder sizes where ``_shared_blocks`` finds a
-    statistic above the window's floor, ``FLAT_SPREAD`` of its largest
-    magnitude. Each ladder size is one pass over all windows, in chunks sized
-    for it, and fills one column of a windows x sizes matrix. Each step is
-    element-wise, a sum or contraction along a row or an exact max or min, so a
-    window gives the same bits alone or among others, whatever the chunks or layout."""
+    statistic above the window's floor, ``FLAT_SPREAD`` of its largest magnitude
+    (one reduction over all windows, copying none). Each ladder size is one pass
+    over all windows, in chunks sized for it, and fills one column of a windows
+    x sizes matrix, read out a chunk of rows at a time. Each step is element-wise,
+    a sum or contraction along a row or an exact max or min, so a window gives
+    the same bits alone or among others, whatever the chunks or layout."""
     # every step past the series gives the first window alone; capped, it fits int64
     window, step, ladder = protocol.window, min(protocol.step, values.size), protocol.ladder
     order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
     windows = sliding_window_view(values, window)[::step]
     count = len(windows)
-    per_chunk = max(1, 2 * CHUNK // max(window, step))  # a min copies the window values
-    chunks = range(0, count, per_chunk)
-    floor = np.concatenate([FLAT_SPREAD * np.maximum(-w.min(axis=-1), w.max(axis=-1))
-                            for w in (windows[i : i + per_chunk] for i in chunks)])
+    floor = FLAT_SPREAD * np.maximum(-windows.min(axis=-1), windows.max(axis=-1))
     stats = np.empty((count, len(ladder)))
     for column, m in enumerate(ladder):
         blocks = window // m
@@ -226,8 +224,9 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
             last = min(count, first + per_size)
             stats[first:last, column] = _shared_blocks(
                 values, step * np.arange(first, last), window, m, floor[first:last], order)
-    for first in chunks:
-        for row in stats[first : first + per_chunk].tolist():
+    per_read = CHUNK // len(ladder)  # rows read out as CHUNK Python floats at a time
+    for first in range(0, count, per_read):
+        for row in stats[first : first + per_read].tolist():
             points = [(m, s) for m, s in zip(ladder, row) if s > 0]
             yield estimate_from_points(points, method=protocol.estimator, ladder=ladder,
                                        detrend_order=order)

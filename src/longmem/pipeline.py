@@ -19,7 +19,6 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass
 from datetime import date as Date
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -208,8 +207,8 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
 # ``str.strip()`` would also take NBSP and U+3000)
 _PAD = " \t\n\r\x0b\x0c"
 
-# Characters (bytes, in an ASCII file) of a price file's body read at a time, then
-# cut after the last line end; a read with no line end is finished with the rest of its line.
+# Characters (bytes, in an ASCII file) of a price file's body read at a time, each
+# read then finished with the rest of the line it stops in.
 BLOCK = 1 << 14
 
 # A block holding any of these bytes goes to the row parser: control bytes,
@@ -233,10 +232,11 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
 
     The file is decoded once, with LF, CRLF and a lone CR each read as LF: the
     lines up to the header go one at a time to the row parser, then the body
-    ``BLOCK`` characters at a time. A clean block (ASCII, no quotes, padding,
-    comments or blank lines, one cell per header cell on every row, its first
-    date after the last one read) is checked with array operations; any other
-    goes through the row parser, which accepts every other form and raises every error.
+    ``BLOCK`` characters at a time, each read on to the end of its line. A clean
+    block (ASCII, no quotes, padding, comments or blank lines, one cell per header
+    cell on every row, its first date after the last one read) is checked with array
+    operations; any other goes through the row parser, which accepts every other
+    form and raises every error.
     """
     path = Path(path)
     label = path.stem if label is None else label
@@ -249,15 +249,7 @@ def ingest_csv(path: Path | str, label: str | None = None) -> PriceSeries:
             if not line:
                 raise ValueError(f"{path}: no data rows")
             row, layout = _read_rows(line, path, row, layout, parts)
-        tail = ""
-        while True:
-            data = fh.read(BLOCK)
-            if "\n" not in data:
-                data += fh.readline()  # a line longer than a block ends in one more read
-            cut = data.rfind("\n") + 1 or len(data)
-            block, tail = tail + data[:cut], data[cut:]
-            if not block:
-                break
+        while block := fh.read(BLOCK) + fh.readline():
             parsed = None
             if len(block) < csv.field_size_limit():  # so no cell can be over the limit
                 parsed = _parse_block(block if block.endswith("\n") else block + "\n", *layout)
@@ -432,9 +424,10 @@ def emit_synth(spec: FgnSpec, path: Path | str) -> Path:
         "# price rule: p[0]=1; p[t+1]=p[t]*exp(x[t]/100)",
         "date,price",
     ]
-    for i, p in enumerate(prices):
-        day = SYNTH_EPOCH + timedelta(days=i)
-        lines.append(f"{day.isoformat()},{float(p)!r}")
+    # lazily, so no column of day strings or floats is held beside the lines
+    first = SYNTH_EPOCH.toordinal()
+    days = map(Date.fromordinal, range(first, first + prices.size))
+    lines += map("{},{!r}".format, days, map(float, prices))
     try:
         _write_files({path: "\n".join(lines) + "\n"})
     except OSError as exc:

@@ -150,15 +150,18 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
 
     Uses population (1/n) moments and non-excess kurtosis. A constant sample
     yields std_dev 0 with the higher moments reported as None. Requires at
-    least 4 observations so the fourth moment is meaningful.
+    least 4 observations so the fourth moment is meaningful, and finite ones.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 4:
         raise ValueError(f"need at least 4 observations to describe, got {n}")
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN makes both NaN
+        at = np.flatnonzero(~np.isfinite(x))[0]
+        raise ValueError(f"cannot describe non-finite value {x[at]} at index {at}")
     mean = float(x.mean())
     median = float(np.median(x))
-    lo, hi = float(x.min()), float(x.max())
     dev = x - mean
     m2 = float(np.mean(dev**2))
     # constant, or non-constant with deviations that underflow squaring

@@ -43,19 +43,6 @@ def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of x; each group of tied values gets the mean of its
-    positions in sorted order."""
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], x.size]
-    ranks = np.empty(x.size)
-    # positions starts+1 .. ends average to (starts + 1 + ends) / 2
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
-
-
 @dataclass(frozen=True)
 class MannWhitneyResult:
     """Both U statistics (u1 for the first sample), the first sample's rank
@@ -119,12 +106,13 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     if n1 == 0 or n2 == 0:
         raise ValueError("Mann-Whitney needs non-empty samples")
     pooled = np.concatenate([x, y])
-    ranks = _midranks(pooled)
-    r1 = float(ranks[:n1].sum())
+    _, inverse, tie_counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # a tie group fills sorted positions ends - counts + 1 .. ends: their mean is its midrank
+    ends = np.cumsum(tie_counts)
+    r1 = float((ends - (tie_counts - 1) / 2)[inverse[:n1]].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0  # pairs won by the first sample, ties half
     u2 = n1 * n2 - u1
 
-    _, tie_counts = np.unique(pooled, return_counts=True)
     if n1 + n2 <= EXACT_LIMIT and tie_counts.size == pooled.size:
         p = _exact_p(n1, n2, u1)
         return MannWhitneyResult(u1, u2, r1, p, "exact")
@@ -204,6 +192,8 @@ def t_bounds(mean: float, sd: float, n: int, level: float = 0.999) -> TBounds:
     """mean +/- t(level, n-1) * sd/sqrt(n), with the one-sided t quantile."""
     if n < 2:
         raise ValueError("t bounds need n >= 2")
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError(f"t bounds need a finite mean and sd, got {mean} and {sd}")
     if sd < 0:
         raise ValueError("sd must be non-negative")
     se = sd / math.sqrt(n)
@@ -268,10 +258,6 @@ class TestReport:
         }
 
 
-def _population_sd(x: np.ndarray) -> float:
-    return math.sqrt(float(np.mean((x - x.mean()) ** 2)))
-
-
 def build_report(
     before: Sequence[float],
     after: Sequence[float],
@@ -283,11 +269,10 @@ def build_report(
     Bounds are computed for each subsample and for the pooled whole period;
     moments use the population convention.
     """
-    x = np.asarray(before, dtype=float)
-    y = np.asarray(after, dtype=float)
+    x, y = _finite_samples("The test battery", before, after)
     if x.size == 0 or y.size == 0:
         raise ValueError("both subsamples must be non-empty")
     samples = {"whole": np.concatenate([x, y]), "before": x, "after": y}
-    bounds = {key: bounds_from_moments(float(v.mean()), _population_sd(v), v.size, level)
+    bounds = {key: bounds_from_moments(float(v.mean()), float(v.std()), v.size, level)
               for key, v in samples.items()}
     return TestReport(level, mann_whitney(x, y), levene(x, y), bounds)

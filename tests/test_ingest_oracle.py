@@ -177,8 +177,9 @@ class TestBlockPath:
         block = ingest_csv(clean)
         calls = self.record_row_parser(monkeypatch)
         rows = ingest_csv(commented)
-        # the header lines one at a time, then the first body block alone
-        cut = commented.read_bytes().rfind(b"\n", 0, body + BLOCK) + 1
+        # the header lines one at a time, then the first body block alone, read
+        # on to the end of the line it stops in
+        cut = commented.read_bytes().find(b"\n", body + BLOCK) + 1
         assert calls == [*seed_bytes[:body].decode().splitlines(keepends=True),
                          commented.read_bytes()[body:cut].decode()]
         assert calls[-1].startswith(comment.decode())

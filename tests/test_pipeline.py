@@ -24,6 +24,7 @@ import longmem
 from longmem.cli import main
 from longmem.pipeline import (
     _SETTINGS,
+    SYNTH_EPOCH,
     PipelineError,
     RunConfig,
     config_from_mapping,
@@ -235,6 +236,19 @@ class TestEmitSynth:
         path = emit_synth(FgnSpec(h=0.6, n=1200, seed=11), tmp_path / "s.csv")
         golden = Path(__file__).parent / "golden" / "inputs" / "synth.csv"
         assert path.read_bytes() == golden.read_bytes()
+
+    def test_dates_match_a_day_by_day_calendar_past_2100(self, tmp_path):
+        # 2100 is not a leap year; the reference builds each line from a timedelta
+        spec = FgnSpec(h=0.55, n=50_000, seed=21)
+        path = emit_synth(spec, tmp_path / "s.csv")
+        prices = np.exp(np.concatenate([[0.0], np.cumsum(generate_fgn(spec) / 100.0)]))
+        rows = [f"{(SYNTH_EPOCH + timedelta(days=i)).isoformat()},{float(p)!r}"
+                for i, p in enumerate(prices)]
+        text = path.read_text()
+        lines = text.splitlines()
+        assert lines[lines.index("date,price") + 1 :] == rows
+        assert "2100-02-28," in text and "2100-02-29," not in text
+        assert rows[-1].startswith("2136-11-")
 
     def test_round_trip_recovers_noise(self, tmp_path):
         spec = FgnSpec(h=0.7, n=400, seed=9)

@@ -162,6 +162,17 @@ class TestDescribe:
         with pytest.raises(ValueError, match="at least 4"):
             describe([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("values, held", [
+        ([1.0, 2.0, math.nan, 4.0, math.inf], "nan at index 2"),
+        ([1.0, math.inf, 3.0, 4.0], "inf at index 1"),
+        ([1.0, 2.0, 3.0, -math.inf], "-inf at index 3"),
+        ([math.nan] * 4, "nan at index 0"),
+    ])
+    def test_rejects_non_finite_values_naming_the_first(self, values, held):
+        # unchecked, a NaN read as "order statistics violated" and an inf gave NaN moments
+        with pytest.raises(ValueError, match=f"^cannot describe non-finite value {held}$"):
+            describe(values)
+
     def test_even_length_median_is_central_mean(self):
         stats = describe([1.0, 2.0, 10.0, 20.0])
         assert stats.median == 6.0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,6 @@ from scipy import stats as scipy_stats
 
 from longmem.stattests import (
     RANDOM_WALK_H,
-    _midranks,
     bounds_from_moments,
     build_report,
     f_sf,
@@ -62,16 +62,24 @@ def f_sf_mp(w, d1, d2):
 # ---------------------------------------------------------------- mann-whitney
 
 class TestMidranks:
+    """The first sample's rank sum at every split k of one pooled sample: the
+    prefix sums of the midranks, so each midrank is pinned."""
+
+    @staticmethod
+    def assert_rank_sums_match_scipy(x):
+        ranks = scipy_stats.rankdata(x)
+        for k in range(1, x.size):
+            assert mann_whitney(x[:k], x[k:]).rank_sum == ranks[:k].sum()
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_scipy_rankdata_with_ties(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(50):
-            x = rng.integers(0, rng.integers(1, 12), size=rng.integers(1, 40)).astype(float)
-            assert np.array_equal(_midranks(x), scipy_stats.rankdata(x))
+            x = rng.integers(0, rng.integers(1, 12), size=rng.integers(2, 40)).astype(float)
+            self.assert_rank_sums_match_scipy(x)
 
     def test_matches_scipy_rankdata_without_ties(self):
-        x = np.random.default_rng(7).standard_normal(500)
-        assert np.array_equal(_midranks(x), scipy_stats.rankdata(x))
+        self.assert_rank_sums_match_scipy(np.random.default_rng(7).standard_normal(500))
 
 
 class TestMannWhitney:
@@ -285,6 +293,14 @@ class TestTBounds:
         with pytest.raises(ValueError, match="n >= 2"):
             t_bounds(0.0, 1.0, 1, 0.999)
 
+    @pytest.mark.parametrize("mean, sd", [(math.nan, 0.1), (0.5, math.inf),
+                                          (-math.inf, 0.1), (0.5, math.nan)])
+    def test_non_finite_moments_rejected(self, mean, sd):
+        # unchecked, they give NaN or infinite bounds
+        with pytest.raises(ValueError, match=re.escape(
+                f"t bounds need a finite mean and sd, got {mean} and {sd}")):
+            t_bounds(mean, sd, 10, 0.999)
+
 
 # ---------------------------------------------------------------- report
 
@@ -328,6 +344,15 @@ class TestBuildReport:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             build_report([], [1.0, 2.0])
+
+    @pytest.mark.parametrize("before, after, held", [
+        ([math.inf, 0.5, 0.6, 0.7], [0.5, 0.6, 0.7], "the first holds inf"),
+        ([0.5, 0.6, 0.7], [0.5, math.nan, 0.7], "the second holds nan"),
+    ])
+    def test_non_finite_value_rejected_before_any_moment(self, before, after, held):
+        # unchecked, the sd of an inf warns (an error under pyproject's filterwarnings) first
+        with pytest.raises(ValueError, match=f"^The test battery needs finite samples: {held}$"):
+            build_report(before, after)
 
     def test_to_dict_round_trip_values(self):
         report = build_report([0.5, 0.52, 0.48, 0.51], [0.44, 0.47, 0.42])
