@@ -240,10 +240,15 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
     detrended (an order >= 1 fit removes the affine term by which it differs
     from the window's profile), and F, the root mean of the window's block
     residuals, counts above ``floor``. Without, R/S: the mean over blocks whose
-    range exceeds ``floor`` and whose standard deviation stays positive; means,
-    deviations and cumulative sums run along blocks, ranges down columns
-    (``_ranges``), and a block with zero deviation gets range -inf, so one
-    gather decides which blocks count. A window with nothing that counts gives 0."""
+    range exceeds ``floor`` and whose standard deviation s stays positive. Means
+    and s run along blocks; the cumulative deviations go down the columns of one
+    buffer, whose column max - min is R: by column adds from 16 tau blocks on,
+    where they beat a cumsum along each row, which fills it below that (both add
+    in one order). As range >= max|x - mean| >= s, only blocks with 0 < s <=
+    2 * floor.max() need their exact range (``_ranges``; 2 covers the rounding of
+    the mean and s, ~1e-14 of the values); the rest get +inf, or -inf at s == 0,
+    so one gather decides which blocks count. A window with nothing that counts
+    gives 0."""
     blocks, index = _block_layout(x, starts, window, tau)
     if order is not None:
         # as rows, the shape whose bits are checked alone and in a stack
@@ -251,11 +256,19 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
         f = np.sqrt((f * f).take(index).mean(axis=-1))
         return np.where(f > floor, f, 0.0)
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
-    s = np.sqrt(np.mean(dev**2, axis=-1))
+    cum = np.empty((tau, *dev.shape[:-1]))  # column k: block k's cumulative deviations
+    if dev.size >= 16 * tau * tau:
+        cum[0] = dev[..., 0]
+        for j in range(1, tau):
+            np.add(cum[j - 1], dev[..., j], out=cum[j])
+    else:
+        np.cumsum(dev, axis=-1, out=np.moveaxis(cum, 0, -1))
+    s = np.sqrt(np.mean(np.square(dev, out=dev), axis=-1))
     varies = s > 0
-    spread = np.where(varies, _ranges(blocks), -np.inf)  # -inf: never above a floor
-    cum = np.cumsum(dev, axis=-1, out=dev)
-    rs = np.divide(_ranges(cum), s, out=np.zeros_like(s), where=varies)
+    spread = np.where(varies, np.inf, -np.inf)  # -inf: never above a floor
+    near = varies & (s <= 2 * floor.max())
+    spread[near] = _ranges(blocks[near])  # a mask writes in place in any memory order
+    rs = np.divide(cum.max(axis=0) - cum.min(axis=0), s, out=np.zeros_like(s), where=varies)
     keep = spread.take(index) > floor[:, None]
     rs = np.where(keep, rs.take(index), 0.0)
     return rs.sum(axis=-1) / np.maximum(np.count_nonzero(keep, axis=-1), 1)

@@ -7,10 +7,13 @@ index, and R/S averaged the values of the non-degenerate blocks only.
 ``reference_mean_rs`` is the R/S statistic the shared-block kernel replaced:
 each window's blocks cut from its own row of a stack of windows. The kernel
 must give the same bits as it, so those tests compare with ``==``. The
-kernel takes its ranges with ``_ranges``, down the columns of a transposed
-copy, which must give ``np.ptp``'s bits along rows; and it drops a block
-whose standard deviation is 0 by giving it range -inf, which a series scaled
-until block squares underflow (s == 0 with a range above the floor) checks.
+kernel takes a block's exact range of values with ``_ranges`` only for blocks
+near the floor (standard deviation at most twice the chunk's largest floor),
+down the columns of a transposed copy, which must give ``np.ptp``'s bits along
+rows; ``margin_returns`` puts block deviations on both sides of the floor and
+of twice the floor. It drops a block whose standard deviation is 0 by giving
+it range -inf, which a series scaled until block squares underflow (s == 0
+with a range above the floor) checks.
 ``reference_rolling_dfa`` is the stacked-row DFA it replaced: one profile per
 window row, every block of every row refitted. There the kernel detrends each
 block's own profile instead, which changes only rounding, so those tests
@@ -470,6 +473,63 @@ def test_ranges_equal_ptp_along_rows():
     same_bits_as_ptp(sliding_window_view(values[0], 16)[::5])
     # a windows x blocks x size stack, as the window-major layout reads it
     same_bits_as_ptp(sliding_window_view(values[0], 64)[::7, :60].reshape(-1, 4, 15))
+
+
+def margin_returns(rng, kind, n):
+    """``n`` returns whose block standard deviations straddle the floor and twice
+    the floor: a base that varies only by rounding (fixed-rate accrual, 1.5 plus
+    0-3 ulp, or a constant 1.5) plus noise in stretches of 4-40 points, each
+    with sd 0, 0.5-4 times the floor (log-uniform), or 1e-3 of the level."""
+    if kind == "accrual":
+        prices = 100.0 * 1.0002 ** np.arange(n + 1)
+        base = np.log(prices[1:] / prices[:-1]) * 100.0
+    else:
+        base = np.full(n, 1.5)
+        if kind == "ulps":
+            base += rng.integers(0, 4, n) * np.spacing(1.5)
+    floor = FLAT_SPREAD * np.abs(base).max()
+    sd, first = np.empty(n), 0
+    while first < n:
+        last = first + int(rng.integers(4, 41))
+        sd[first:last] = rng.choice([0.0, floor * 2.0 ** rng.uniform(-1, 2), 1e-3 * 1.5],
+                                    p=[0.2, 0.7, 0.1])
+        first = last
+    return base + sd * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("kind", ["accrual", "ulps", "noise"])
+def test_rs_blocks_near_the_floor_match_reference(monkeypatch, kind):
+    """A block's range is at least its sd, so the kernel takes the exact range
+    only of blocks whose sd is at most twice the chunk's largest floor. Both
+    layouts (a step of 7 and a step that is a multiple of the size), chunks
+    below and above 16 size blocks (where the cumulative sums switch from a
+    cumsum per row to column adds), and a rolling run at two chunk budgets."""
+    rng = np.random.default_rng(["accrual", "ulps", "noise"].index(kind) + 1969)
+    window, seen = 500, set()
+    margin = {"near, kept": 0, "near, dropped": 0, "far": 0}
+    for step, tau in ((7, 8), (7, 64), (16, 8), (64, 64)):
+        for count in (1, 3, 40, 160):
+            values = margin_returns(rng, kind, window + step * (count - 1))
+            starts = step * np.arange(count)
+            rows = sliding_window_view(values, window)[starts]
+            floor = FLAT_SPREAD * np.maximum(-rows.min(axis=-1), rows.max(axis=-1))
+            got = estimators._shared_blocks(values, starts, window, tau, floor)
+            assert got.tobytes() == reference_mean_rs(rows, tau, floor).tobytes(), (
+                step, tau, count)
+            blocks = estimators._block_layout(values, starts, window, tau)[0]
+            seen.add((blocks.ndim, blocks.size >= 16 * tau * tau))
+            cut = rows[:, : window // tau * tau].reshape(count, -1, tau)
+            s, spread = cut.std(axis=-1), np.ptp(cut, axis=-1)
+            near = (s > 0) & (s <= 2 * floor[:, None])
+            margin["near, kept"] += np.count_nonzero(near & (spread > floor[:, None]))
+            margin["near, dropped"] += np.count_nonzero(near & (spread <= floor[:, None]))
+            margin["far"] += np.count_nonzero(s > 2 * floor[:, None])
+    assert seen == {(2, False), (2, True), (3, False), (3, True)}
+    assert min(margin.values()) > 0, margin
+    values = margin_returns(rng, kind, 4203)
+    for chunk in (estimators.CHUNK, 1 << 9):
+        monkeypatch.setattr(estimators, "CHUNK", chunk)
+        same_as_reference(values, RollingProtocol(estimator="rs"))
 
 
 def reference_rolling_dfa(returns, protocol):
