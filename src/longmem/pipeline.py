@@ -472,16 +472,16 @@ class SeriesAnalysis:
 
 
 def analyse_series(prices: PriceSeries, config: RunConfig) -> SeriesAnalysis:
-    """Log returns, rolling Hurst estimates, the split, and the test battery."""
+    """Log returns, rolling Hurst estimates, the split, and the test battery. A series with
+    fewer than ``window + 3 * step`` returns (4 windows) fails before any estimate is made."""
     returns = log_returns(prices)
+    n, window, step = len(returns), config.window, config.step
+    if n < window + 3 * step:  # describe needs 4 observations
+        raise ValueError(f"{len(range(0, n - window + 1, step))} rolling windows, fewer than "
+                         f"the 4 needed: window {window} at step {step} needs at least "
+                         f"{window + 3 * step} returns, the series has {n}")
     rets_stats = describe(returns.values)
     result = rolling_hurst(returns, config)
-    if result.h.size < 4:  # describe needs 4 observations
-        raise ValueError(
-            f"{result.h.size} rolling windows, fewer than the 4 needed: window "
-            f"{config.window} at step {config.step} needs at least "
-            f"{config.window + 3 * config.step} returns, the series has {len(returns)}"
-        )
     hurst_stats = describe(result.h)
     before, after = split_at(result, config.split_date, by=config.split_by)
     counts = (before.size, after.size)

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from datetime import date, timedelta
@@ -17,10 +18,11 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import longmem
+from longmem import pipeline
 from longmem.cli import main
 from longmem.pipeline import (
     _SETTINGS,
@@ -806,6 +808,82 @@ class TestCli:
             f"error: serie: 1 rolling windows, fewer than the 4 needed: window 500 at step "
             f"{step} needs at least {500 + 3 * step} returns, the series has 1300\n")
         assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "rolling", "test"])
+    @pytest.mark.parametrize("n", [39, 40, 54, 55])
+    def test_length_rule_is_checked_before_any_estimate(self, tmp_path, monkeypatch,
+                                                        command, n):
+        # window 40 at step 5 needs 40 + 3 * 5 = 55 returns for 4 windows
+        monkeypatch.chdir(tmp_path)
+        emit_synth(FgnSpec(h=0.6, n=n, seed=5), tmp_path / "short.csv")
+        calls = []
+        for name in ("describe", "rolling_hurst"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        args = [command, "short.csv", "--window", "40", "--step", "5", "--ladder", "4,8,16"]
+        if command != "rolling":  # two windows on each side: starts 0, 5 | 10, 15
+            args += ["--split-date", str(SYNTH_EPOCH + timedelta(days=11))]
+        if command != "test":
+            args += ["--output-dir", "o"]
+        res = self.invoke(*args)
+        if n == 55:
+            assert res.exit_code == 0, res.output
+            assert calls
+            return
+        assert res.exit_code == 2
+        assert res.stderr == (
+            f"error: short: {max(0, (n - 40) // 5 + 1)} rolling windows, fewer than the 4 "
+            f"needed: window 40 at step 5 needs at least 55 returns, the series has {n}\n")
+        assert calls == []
+        written = {"short.csv"} if command == "test" else {"short.csv", "o"}
+        assert {p.name for p in tmp_path.rglob("*")} == written
+
+    # a valid value of each setting, and a mix of malformed, out-of-range and
+    # unusual ones
+    VALID = {
+        "window": st.integers(32, 1100).map(str),
+        "step": st.one_of(st.integers(1, 40).map(str), st.just(str(2**63))),
+        "ladder": st.sampled_from(["4,8,16", "4,8,16,32,64,128", "5,9,17,33,100", "8,16,32,64"]),
+        "detrend-order": st.integers(1, 3).map(str),
+        "split-date": st.dates(date(1999, 6, 1), date(2004, 6, 1)).map(str),
+        "split-by": st.sampled_from(["start", "end"]),
+    }
+    ANY = st.one_of(
+        st.text(alphabet="0123456789-,_ .x", max_size=8),
+        st.integers(-2**64, 2**64).map(str),
+        st.lists(st.integers(-1, 700), max_size=5).map(lambda s: ",".join(map(str, s))),
+        st.sampled_from(["2001-13-01", "20010103", "START", "middle", " 4, 8 ,16"]))
+    # the words by which an error line names a setting
+    NAMES = ("window", "step", "ladder", "block size", "order", "split_date", "split_by")
+
+    @given(flags=st.fixed_dictionaries({}, optional=VALID),
+           bad=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(VALID)), ANY)))
+    @settings(max_examples=80, deadline=None, database=None)
+    @seed(2008)
+    def test_any_settings_give_outputs_or_named_errors(self, flags, bad):
+        golden = Path(__file__).parent / "golden" / "inputs" / "synth.csv"
+        if bad:
+            flags[bad[0]] = bad[1]
+        args = [f"--{name}={value}" for name, value in flags.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            res = self.invoke("run", str(golden), "--output-dir", str(out), *args)
+            assert res.exit_code in (0, 1, 2), (args, res.output)
+            assert res.exception is None or isinstance(res.exception, SystemExit), args
+            files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            if res.exit_code == 0:
+                assert files == ["synth_report.json", "synth_rolling.csv", "synth_stats.json"]
+                for kind in ("stats", "report"):
+                    payload = json.loads((out / f"synth_{kind}.json").read_text())
+                    jsonschema.validate(payload, load_schema(f"{kind}.schema.json"))
+                return
+        assert files == [], args
+        lines = res.stderr.splitlines()
+        assert lines, args
+        for line in lines:
+            assert line.startswith("error: synth: ") or (
+                line.startswith("error: ") and any(name in line for name in self.NAMES)), line
 
     @pytest.mark.parametrize("estimator", ["dfa", "rs"])
     def test_fixed_rate_prices_have_no_hurst_exponent(self, tmp_path, estimator):

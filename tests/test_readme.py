@@ -50,6 +50,8 @@ ERRORS = {
     "error: <label>: prices 1e+300 then 1e-300 at <date>: their ratio underflows the float "
     "range": "describe ratio.csv",
     "error: <label>: <note>": "test s.csv",
+    "error: <label>: 0 rolling windows, fewer than the 4 needed: window 500 at step 7 needs at "
+    "least 521 returns, the series has 300": "rolling s300.csv",
     "error: <label>: window 38 must be at least twice the largest ladder size (128)":
         "hurst short.csv",
     "error: ladder 144,147,153 spans 153/144 = 1.06, less than the one octave a slope needs":
@@ -68,6 +70,7 @@ def quoted_error_lines():
 
 def error_inputs(directory):
     emit_synth(FgnSpec(h=0.6, n=1300, seed=7), directory / "s.csv")
+    emit_synth(FgnSpec(h=0.6, n=300, seed=1), directory / "s300.csv")
     days = [date(2020, 1, 1) + timedelta(days=i) for i in range(39)]
     (directory / "short.csv").write_text(
         "date,price\n" + "".join(f"{d},{100 + i * 7 % 5}\n" for i, d in enumerate(days)))

@@ -121,6 +121,16 @@ class TestRollingHurst:
         result = rolling_hurst(rets, small_protocol(window=40, step=7))
         assert result.h.size == 1
 
+    @pytest.mark.parametrize("estimator", ["dfa", "rs"])
+    def test_step_past_the_int64_range_gives_the_first_window(self, estimator):
+        # the kernel caps the step at the series length, so the stride fits int64
+        rets = make_returns(generate_gaussian(100, seed=10))
+        huge = rolling_hurst(rets, small_protocol(step=2**63, estimator=estimator))
+        whole = rolling_hurst(rets, small_protocol(step=100, estimator=estimator))
+        assert huge.h.size == 1
+        for column in ("start_dates", "end_dates", "h", "r_squared"):
+            assert getattr(huge, column).tobytes() == getattr(whole, column).tobytes()
+
     def test_too_short_rejected(self):
         rets = make_returns(generate_gaussian(39, seed=3))
         with pytest.raises(ValueError, match="shorter than window"):
