@@ -58,13 +58,16 @@ def _require_inputs(ctx: click.Context, inputs) -> None:
 
 
 class _Main(click.Group):
-    """Every command reports an unusable configuration as ``error:`` and exit 1."""
+    """A command's unusable configuration or command line: one ``error:`` line, exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except PipelineError as exc:
             click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+        except click.UsageError as exc:  # format_message() names the option; str() does not
+            click.echo(f"error: {exc.format_message()}", err=True)
             ctx.exit(1)
 
 

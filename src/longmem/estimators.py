@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -64,10 +64,6 @@ class BlockLadder:
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("ladder sizes must be strictly increasing")
 
-    @classmethod
-    def default(cls) -> "BlockLadder":
-        return cls(DEFAULT_LADDER_SIZES)
-
     @property
     def max_size(self) -> int:
         return self.sizes[-1]
@@ -83,15 +79,18 @@ class BlockLadder:
 class RollingProtocol:
     """Fixed-length windows advanced by a fixed step, one estimate per window: the
     one owner of the estimator settings, their defaults and their checks. A
-    whole-series estimate is the one-window case (``window`` the series length)."""
+    whole-series estimate is the one-window case (``window`` the series length).
+    ``ladder``, a BlockLadder, sizes or None (the default), is held as a BlockLadder."""
 
     window: int = 500
     step: int = 7
     estimator: str = METHOD_DFA
-    ladder: BlockLadder = field(default_factory=BlockLadder.default)
+    ladder: Iterable[int] | None = None
     detrend_order: int = 1
 
     def __post_init__(self) -> None:
+        sizes = DEFAULT_LADDER_SIZES if self.ladder is None else tuple(self.ladder)
+        object.__setattr__(self, "ladder", BlockLadder(sizes))
         if self.estimator not in (METHOD_DFA, METHOD_RS):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.step < 1:
@@ -111,6 +110,11 @@ class RollingProtocol:
         if self.estimator == METHOD_DFA and smallest < self.detrend_order + 2:
             raise ValueError(
                 f"block size {smallest} too small for an order-{self.detrend_order} fit")
+
+    def protocol_dict(self) -> dict:
+        """The five settings as JSON values, the ladder as a list of its sizes."""
+        settings = {f.name: getattr(self, f.name) for f in fields(RollingProtocol)}
+        return {**settings, "ladder": list(self.ladder)}
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> tuple[float, float, float]:
@@ -298,7 +302,7 @@ def _ranges(rows: np.ndarray) -> np.ndarray:
     return cols.max(axis=0) - cols.min(axis=0)
 
 
-def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEstimate:
+def hurst_rs(x: Sequence[float], ladder: Iterable[int] | None = None) -> HurstEstimate:
     """Hurst exponent from block-averaged R/S statistics over a size ladder.
 
     For each ladder size the series is cut into non-overlapping blocks, the
@@ -308,7 +312,7 @@ def hurst_rs(x: Sequence[float], ladder: BlockLadder | None = None) -> HurstEsti
     The series is the one window of a :class:`RollingProtocol`, which checks it.
     """
     values = np.asarray(x, dtype=float).reshape(-1)
-    protocol = RollingProtocol(values.size, 1, METHOD_RS, ladder or BlockLadder.default())
+    protocol = RollingProtocol(values.size, 1, METHOD_RS, ladder)
     return next(_estimate_rows(values, protocol))
 
 
@@ -361,7 +365,7 @@ def _detrend(m: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(zip(design.T, weights))
 
 
-def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,
+def hurst_dfa(y: Sequence[float], ladder: Iterable[int] | None = None,
               order: int = 1) -> HurstEstimate:
     """Hurst exponent via detrended fluctuation analysis.
 
@@ -372,5 +376,5 @@ def hurst_dfa(y: Sequence[float], ladder: BlockLadder | None = None,
     checks it with ``order``.
     """
     values = np.asarray(y, dtype=float).reshape(-1)
-    protocol = RollingProtocol(values.size, 1, METHOD_DFA, ladder or BlockLadder.default(), order)
+    protocol = RollingProtocol(values.size, 1, METHOD_DFA, ladder, order)
     return next(_estimate_rows(values, protocol))

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import BlockLadder
 from .rolling import (
     WINDOW_COUNT_RULE,
     RollingProtocol,
@@ -72,7 +71,7 @@ class RunConfig(RollingProtocol):
     """Full pipeline configuration: the rolling protocol it extends (two-year
     window of 500 datapoints advanced by 7, DFA-1 over the octave ladder),
     then the inputs, the split (2008-09-15), the 0.999 confidence level and
-    the outputs. ``ladder`` may be given as a tuple of sizes."""
+    the outputs."""
 
     inputs: tuple[tuple[Path, str], ...] = ()
     split_date: Date = DEFAULT_SPLIT_DATE
@@ -104,19 +103,9 @@ class RunConfig(RollingProtocol):
         if self.split_by not in ("start", "end"):
             raise PipelineError("split_by must be 'start' or 'end'")
         try:  # the protocol's settings are checked at load time
-            object.__setattr__(self, "ladder", BlockLadder(tuple(self.ladder)))
             super().__post_init__()
         except ValueError as exc:
             raise PipelineError(str(exc)) from exc
-
-    def protocol_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "window": self.window,
-            "step": self.step,
-            "ladder": list(self.ladder),
-            "detrend_order": self.detrend_order,
-        }
 
 
 def parse_input_spec(spec: str) -> tuple[Path, str]:
@@ -164,6 +153,13 @@ def _iso_date(text: str) -> Date:
     return Date.fromisoformat(text)
 
 
+def _number(text: str, kind: type = int) -> int | float:
+    """``kind(text)``, refusing the '_' and non-ASCII digits int() and float() take."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("a number takes ASCII characters only, and no '_'")
+    return kind(text)
+
+
 def _items(value: str) -> list[str]:
     return [s.strip() for s in value.split(",") if s.strip()]
 
@@ -173,16 +169,16 @@ def _items(value: str) -> list[str]:
 _SETTINGS = {
     "inputs": (lambda v: tuple(parse_input_spec(s) for s in _items(v)), None, None),
     "estimator": (str.lower, "dfa|rs", "Hurst estimator, case-insensitive [default: dfa]."),
-    "window": (int, "INT", "Sliding window length in datapoints [default: 500]."),
-    "step": (int, "INT", "Window advance in datapoints [default: 7]."),
-    "ladder": (lambda v: tuple(int(s) for s in v.split(",")), "INTS",
+    "window": (_number, "INT", "Sliding window length in datapoints [default: 500]."),
+    "step": (_number, "INT", "Window advance in datapoints [default: 7]."),
+    "ladder": (lambda v: tuple(map(_number, v.split(","))), "INTS",
                "Comma-separated block sizes [default: 4,8,16,32,64,128]."),
-    "detrend_order": (int, "INT", "DFA polynomial order [default: 1]."),
+    "detrend_order": (_number, "INT", "DFA polynomial order [default: 1]."),
     "split_date": (_iso_date, "DATE",
                    "YYYY-MM-DD date splitting the subsamples [default: 2008-09-15]."),
     "split_by": (str, "start|end", "Classify windows by start or end date [default: start]."),
-    "confidence_level": (float, "FLOAT", "One-sided t confidence level, in (0.5, 1), "
-                         "for the bounds [default: 0.999]."),
+    "confidence_level": (lambda v: _number(v, float), "FLOAT", "One-sided t confidence "
+                         "level, in (0.5, 1), for the bounds [default: 0.999]."),
     "output_dir": (Path, "PATH", "Directory for report files [default: .]."),
     "formats": (lambda v: frozenset(_items(v)), "LIST",
                 "Comma-separated subset of json,csv [default: json,csv]."),
@@ -309,10 +305,7 @@ def _read_rows(block: str, path: Path, row: int, layout: tuple[int, int, int] | 
             if raw_price == "":
                 raise ValueError("blank price")
             try:
-                # float() also takes '1_000' and non-ASCII digits, such as full-width ones
-                if not raw_price.isascii() or "_" in raw_price:
-                    raise ValueError
-                p = float(raw_price)
+                p = _number(raw_price, float)
             except ValueError as exc:
                 raise ValueError(f"unparsable price {raw_price!r}") from exc
             if not math.isfinite(p):

@@ -56,6 +56,12 @@ class TestBlockLadder:
                                              r"largest ladder size \(16\)$"):
             hurst_rs(x[:31], lad)
 
+    @pytest.mark.parametrize("estimate", [hurst_dfa, hurst_rs])
+    @pytest.mark.parametrize("sizes", [(4, 8, 16), [4, 8, 16]])
+    def test_sizes_give_the_bits_of_their_block_ladder(self, estimate, sizes):
+        x = generate_gaussian(200, seed=4)
+        assert estimate(x, sizes) == estimate(x, BlockLadder((4, 8, 16)))
+
 
 def rs_statistic(values):
     """The R/S statistic of one block: one window made of one block, floor 0."""

@@ -839,6 +839,33 @@ class TestCli:
         written = {"short.csv"} if command == "test" else {"short.csv", "o"}
         assert {p.name for p in tmp_path.rglob("*")} == written
 
+    GOLDEN = Path(__file__).parent / "golden" / "inputs"
+
+    def run_contract(self, label, *args):
+        """``run`` with ``args`` into a fresh directory, checked against the contract
+        every run keeps: exit 0, 1 or 2, with no exception or warning escaping; exit
+        0 writes the three files, both JSONs passing their schemas; any other exit
+        writes nothing. Returns the exit code and the stderr lines."""
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = Path(tmp) / "o"
+            res = self.invoke("run", *args, "--output-dir", str(out))
+            assert seen == [], (args, [str(w.message) for w in seen])
+            assert res.exit_code in (0, 1, 2), (args, res.output)
+            assert res.exception is None or isinstance(res.exception, SystemExit), \
+                (args, res.exception)
+            files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            if res.exit_code == 0:
+                assert files == [f"{label}_{kind}" for kind in
+                                 ("report.json", "rolling.csv", "stats.json")], args
+                for kind in ("stats", "report"):
+                    payload = json.loads((out / f"{label}_{kind}.json").read_text())
+                    jsonschema.validate(payload, load_schema(f"{kind}.schema.json"))
+                return 0, []
+        assert files == [], args
+        assert res.stderr.splitlines(), args
+        return res.exit_code, res.stderr.splitlines()
+
     # a valid value of each setting, and a mix of malformed, out-of-range and
     # unusual ones
     VALID = {
@@ -850,7 +877,7 @@ class TestCli:
         "split-by": st.sampled_from(["start", "end"]),
     }
     ANY = st.one_of(
-        st.text(alphabet="0123456789-,_ .x", max_size=8),
+        st.text(alphabet="0123456789-,_ .x\uff10\uff11\uff15\xa0", max_size=8),
         st.integers(-2**64, 2**64).map(str),
         st.lists(st.integers(-1, 700), max_size=5).map(lambda s: ",".join(map(str, s))),
         st.sampled_from(["2001-13-01", "20010103", "START", "middle", " 4, 8 ,16"]))
@@ -862,28 +889,132 @@ class TestCli:
     @settings(max_examples=80, deadline=None, database=None)
     @seed(2008)
     def test_any_settings_give_outputs_or_named_errors(self, flags, bad):
-        golden = Path(__file__).parent / "golden" / "inputs" / "synth.csv"
         if bad:
             flags[bad[0]] = bad[1]
         args = [f"--{name}={value}" for name, value in flags.items()]
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "o"
-            res = self.invoke("run", str(golden), "--output-dir", str(out), *args)
-            assert res.exit_code in (0, 1, 2), (args, res.output)
-            assert res.exception is None or isinstance(res.exception, SystemExit), args
-            files = sorted(p.name for p in out.iterdir()) if out.exists() else []
-            if res.exit_code == 0:
-                assert files == ["synth_report.json", "synth_rolling.csv", "synth_stats.json"]
-                for kind in ("stats", "report"):
-                    payload = json.loads((out / f"synth_{kind}.json").read_text())
-                    jsonschema.validate(payload, load_schema(f"{kind}.schema.json"))
-                return
-        assert files == [], args
-        lines = res.stderr.splitlines()
-        assert lines, args
+        code, lines = self.run_contract("synth", str(self.GOLDEN / "synth.csv"), *args)
+        # a number is read as a price cell is: ASCII digits, no '_'
+        if bad and bad[0] in ("window", "step", "ladder", "detrend-order") \
+                and ("_" in bad[1] or not bad[1].isascii()):
+            assert code == 1, args
         for line in lines:
             assert line.startswith("error: synth: ") or (
                 line.startswith("error: ") and any(name in line for name in self.NAMES)), line
+
+    # the causes an error line about a mutated input may give: a row of the
+    # file, a window, or a rule of the whole series
+    CAUSES = re.compile(
+        r"error: m: (.*m\.csv: (row \d+: .+|no data rows)"
+        r"|window \d+ \(\d{4}-\d\d-\d\d to \d{4}-\d\d-\d\d\): .+"
+        r"|\d+ rolling windows, fewer than the 4 needed: .+"
+        r"|price series 'm' needs at least 2 observations"
+        r"|prices \S+ then \S+ at \d{4}-\d\d-\d\d: their ratio (under|over)flows the float range)")
+    ROW = re.compile(rb"^(\d{4}-\d\d-\d\d,)([^,\r\n]*)", re.M)
+
+    @st.composite
+    def mutated_inputs(draw, golden=GOLDEN, row=ROW):
+        """A golden input after one to three edits of the kinds a price file
+        meets: a flipped byte, a row deleted, duplicated or moved, CRLF line
+        ends, a byte order mark, a comment line, truncation, a stale run, or
+        every price scaled toward 1e300, 1e-300 or the subnormal range."""
+        data = draw(st.sampled_from(sorted(golden.glob("*.csv")))).read_bytes()
+        edits = ["flip", "delete", "duplicate", "swap", "crlf", "bom", "comment",
+                 "truncate", "stale", "scale"]
+        for edit in draw(st.lists(st.sampled_from(edits), min_size=1, max_size=3)):
+            lines = data.split(b"\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            prices = [m[2] for m in row.finditer(data)]
+            if edit == "flip" and data:
+                k = draw(st.integers(0, len(data) - 1))
+                data = data[:k] + bytes([data[k] ^ draw(st.integers(1, 255))]) + data[k + 1:]
+            elif edit in ("delete", "duplicate", "swap", "comment"):
+                if edit == "delete":
+                    del lines[i]
+                elif edit == "duplicate":
+                    lines.insert(i, lines[i])
+                elif edit == "swap":
+                    lines[i], lines[j] = lines[j], lines[i]
+                else:
+                    lines.insert(i, b"# a comment")
+                data = b"\n".join(lines)
+            elif edit == "crlf":
+                data = data.replace(b"\n", b"\r\n")
+            elif edit == "bom":
+                data = b"\xef\xbb\xbf" + data
+            elif edit == "truncate":
+                data = data[: draw(st.integers(0, len(data)))]
+            elif edit == "stale" and prices:
+                k = draw(st.integers(0, len(prices) - 1))
+                n = draw(st.integers(2, 600))
+                prices[k : k + n] = [prices[k]] * len(prices[k : k + n])
+            elif edit == "scale" and prices:
+                factor = draw(st.sampled_from([1e300, 1e-300, 1e-310, 1e-320, 3e-308]))
+                for k, price in enumerate(prices):
+                    try:
+                        prices[k] = repr(float(price) * factor).encode()
+                    except ValueError:
+                        pass
+            if edit in ("stale", "scale") and prices:
+                it = iter(prices)
+                data = row.sub(lambda m: m[1] + next(it), data)
+        return data
+
+    @given(data=mutated_inputs())
+    @settings(max_examples=100, deadline=None, database=None)
+    @seed(2009)
+    def test_mutated_inputs_give_outputs_or_named_errors(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(data)
+            code, lines = self.run_contract("m", str(path), "--split-date", "2000-09-01")
+        assert code != 1, lines  # the settings are good; only the series can fail
+        for line in lines:
+            assert self.CAUSES.fullmatch(line), line
+
+    # a number is read as a price cell is: ASCII digits, no '_'
+    @pytest.mark.parametrize("name, value", [
+        ("window", "5_00"), ("step", "\uff17"), ("step", " \uff17"), ("detrend-order", "\uff11"),
+        ("ladder", "4,\uff18,16"), ("confidence-level", "0.9_99"), ("window", "\xa0500")])
+    def test_numbers_take_ascii_digits_and_no_underscore(self, tmp_path, name, value):
+        res = self.invoke("run", str(self.GOLDEN / "synth.csv"), f"--{name}", value,
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 1
+        assert res.stderr == (f"error: bad setting {name.replace('-', '_')} = {value!r}: "
+                              "a number takes ASCII characters only, and no '_'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_numbers_are_read_as_flags_are(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("window = \uff15" "00\n", encoding="utf-8")
+        res = self.invoke("run", str(self.GOLDEN / "synth.csv"), "--config", str(cfg_file),
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 1
+        assert res.stderr == ("error: bad setting window = '\uff15" "00': a number takes ASCII "
+                              "characters only, and no '_'\n")
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    def test_numbers_may_carry_ascii_padding(self, tmp_path):
+        res = self.invoke("run", str(self.GOLDEN / "synth.csv"), "--window", " 500",
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 0, res.output
+        assert json.loads((tmp_path / "o" / "synth_stats.json").read_text())[
+            "protocol"]["window"] == 500
+
+    # click's own usage errors exit 1, as any other unusable configuration
+    @pytest.mark.parametrize("args, named", [
+        (["run", "x.csv", "--windw", "500"], "'--windw'"),
+        (["run", "--config", "missing.cfg", "x.csv"], "'--config'"),
+        (["synth", "--h", "abc", "out.csv"], "'--h'"),
+        (["synth", "--h", "0.6", "out.csv"], "'--n'"),
+        (["bogus"], "'bogus'")])
+    def test_a_bad_command_line_exits_one_with_one_line(self, tmp_path, monkeypatch,
+                                                         args, named):
+        monkeypatch.chdir(tmp_path)
+        res = self.invoke(*args)
+        assert res.exit_code == 1
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: ") and named in line, line
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("estimator", ["dfa", "rs"])
     def test_fixed_rate_prices_have_no_hurst_exponent(self, tmp_path, estimator):

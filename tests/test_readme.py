@@ -57,6 +57,9 @@ ERRORS = {
     "error: ladder 144,147,153 spans 153/144 = 1.06, less than the one octave a slope needs":
         "hurst s.csv --ladder 144,147,153",
     "error: bad setting window = 'abc': ...": "run s.csv --window abc",
+    "error: bad setting window = '5_00': a number takes ASCII characters only, and no '_'":
+        "run s.csv --window 5_00",
+    "error: No such option '--windw'. Did you mean '--window'?": "run s.csv --windw 500",
     "error: <file>:<line>: duplicate key 'window' (first on line <k>)":
         "run s.csv --config dup.cfg",
 }

@@ -65,6 +65,25 @@ class TestProtocol:
         assert proto.ladder.sizes == (4, 8, 16, 32, 64, 128)
         assert proto.detrend_order == 1
 
+    @pytest.mark.parametrize("ladder", [(4, 8, 16), [4, 8, 16], SMALL_LADDER, None])
+    def test_ladder_is_held_as_a_block_ladder(self, ladder):
+        proto = RollingProtocol(ladder=ladder)
+        assert isinstance(proto.ladder, BlockLadder)
+        assert proto.ladder == (BlockLadder((4, 8, 16, 32, 64, 128)) if ladder is None
+                                else SMALL_LADDER)
+
+    def test_empty_ladder_is_refused_by_its_own_rule(self):
+        with pytest.raises(ValueError, match="^ladder needs at least 3 sizes$"):
+            RollingProtocol(ladder=())
+
+    def test_protocol_dict_states_the_five_settings(self):
+        assert RollingProtocol().protocol_dict() == {
+            "estimator": "dfa", "window": 500, "step": 7,
+            "ladder": [4, 8, 16, 32, 64, 128], "detrend_order": 1}
+        assert RollingProtocol(40, 3, "rs", (4, 8, 16), 2).protocol_dict() == {
+            "estimator": "rs", "window": 40, "step": 3, "ladder": [4, 8, 16],
+            "detrend_order": 2}
+
 
 class TestWindowCount:
     def test_reference_shape(self):
