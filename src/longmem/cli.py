@@ -14,6 +14,7 @@ from .pipeline import (
     _SETTINGS,
     PipelineError,
     RunConfig,
+    _number,
     analyse_series,
     config_from_mapping,
     emit_synth,
@@ -55,6 +56,21 @@ def _require_inputs(ctx: click.Context, inputs) -> None:
         click.echo(ctx.get_help(), err=True)
         click.echo("\nerror: no input files given", err=True)
         ctx.exit(1)
+
+
+class _Number(click.ParamType):
+    """A ``synth`` number read as ``run`` reads its settings (``_number``): with
+    '_' or a character outside ASCII it is a bad setting; click's own int or
+    float type reads the rest, and names the option when it cannot."""
+
+    def __init__(self, kind: click.ParamType) -> None:
+        self.kind, self.name = kind, kind.name
+
+    def convert(self, value, param, ctx):
+        try:
+            return _number(value, lambda text: self.kind.convert(text, param, ctx))
+        except ValueError as exc:
+            raise PipelineError(f"bad setting {param.name} = {value!r}: {exc}") from exc
 
 
 class _Main(click.Group):
@@ -165,16 +181,18 @@ def test_cmd(ctx, inputs, **flags):
 
 @main.command("synth")
 @click.argument("output", type=click.Path(path_type=Path))
-@click.option("--h", "hurst_h", type=float, required=True,
+@click.option("--h", "h", type=_Number(click.FLOAT), required=True,
               help="Target Hurst exponent in (0,1).")
-@click.option("--n", type=int, required=True,
+@click.option("--n", type=_Number(click.INT), required=True,
               help="Number of noise points (file gets n+1 prices).")
-@click.option("--sigma", type=float, default=1.0, show_default=True, help="Noise scale.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Generator seed.")
-def synth_cmd(output, hurst_h, n, sigma, seed) -> None:
+@click.option("--sigma", type=_Number(click.FLOAT), default="1.0", show_default=True,
+              help="Noise scale.")
+@click.option("--seed", type=_Number(click.INT), default="0", show_default=True,
+              help="Generator seed.")
+def synth_cmd(output, h, n, sigma, seed) -> None:
     """Write a synthetic fGn-derived price CSV for pipeline validation."""
     try:
-        spec = FgnSpec(h=hurst_h, n=n, sigma=sigma, seed=seed)
+        spec = FgnSpec(h=h, n=n, sigma=sigma, seed=seed)
     except ValueError as exc:
         raise PipelineError(str(exc)) from exc
     path = emit_synth(spec, output)

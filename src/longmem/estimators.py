@@ -38,7 +38,7 @@ METHOD_RS = "rs"
 # A window's floor, as a fraction of its largest magnitude: a DFA fluctuation or R/S
 # block range at or under it is rounding (stale zero returns, fixed-rate accrual).
 FLAT_SPREAD = 1e-9
-CHUNK = 1 << 14  # a chunk of windows copies about twice this many values
+CHUNK = 1 << 14  # a chunk's index entries; its block values: 4x (DFA) or 2x (R/S) this
 
 
 @dataclass(frozen=True)
@@ -220,10 +220,11 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
     count = len(windows)
     floor = FLAT_SPREAD * np.maximum(-windows.min(axis=-1), windows.max(axis=-1))
     stats = np.empty((count, len(ladder)))
+    cap = 4 * CHUNK if order else 2 * CHUNK  # R/S keeps the cap its fill was tuned at
     for column, m in enumerate(ladder):
         blocks = window // m
         # caps: block values in the layout that holds fewer, the windows x blocks index
-        per_size = max(1, min(2 * CHUNK // (m * min(blocks, step)), CHUNK // blocks))
+        per_size = max(1, min(cap // (m * min(blocks, step)), CHUNK // blocks))
         for first in range(0, count, per_size):
             last = min(count, first + per_size)
             stats[first:last, column] = _shared_blocks(
@@ -240,33 +241,28 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
                    floor: np.ndarray, order: int | None = None) -> np.ndarray:
     """The statistic at size tau of each window of ``x`` that starts at
     ``starts`` (increasing, evenly spaced), over the blocks as ``_block_layout``
-    reads them in place. With ``order``, DFA: each block's own profile is
-    detrended (an order >= 1 fit removes the affine term by which it differs
-    from the window's profile), and F, the root mean of the window's block
-    residuals, counts above ``floor``. Without, R/S: the mean over blocks whose
-    range exceeds ``floor`` and whose standard deviation s stays positive. Means
-    and s run along blocks; the cumulative deviations go down the columns of one
-    buffer, whose column max - min is R: by column adds from 16 tau blocks on,
-    where they beat a cumsum along each row, which fills it below that (both add
-    in one order). As range >= max|x - mean| >= s, only blocks with 0 < s <=
+    reads them in place. Either way a cumulative sum along each block fills one
+    buffer the call owns (``_cumsum_last``). With ``order``, DFA: that buffer
+    holds each block's own profile and is detrended in place (an order >= 1 fit
+    removes the affine term by which it differs from the window's profile), and
+    F, the root mean of the window's block residuals, counts above ``floor``.
+    Without, R/S: the mean over blocks whose range exceeds ``floor`` and whose
+    standard deviation s stays positive. Means and s run along blocks; the
+    buffer holds the cumulative deviations down its columns, whose max - min is
+    R. As range >= max|x - mean| >= s, only blocks with 0 < s <=
     2 * floor.max() need their exact range (``_ranges``; 2 covers the rounding of
     the mean and s, ~1e-14 of the values); the rest get +inf, or -inf at s == 0,
     so one gather decides which blocks count. A window with nothing that counts
     gives 0."""
     blocks, index = _block_layout(x, starts, window, tau)
     if order is not None:
-        # as rows, the shape whose bits are checked alone and in a stack
-        f = dfa_fluctuation(np.cumsum(blocks, axis=-1).reshape(-1, tau), tau, order)
+        profile = _cumsum_last(blocks, np.empty(blocks.shape))
+        f = np.sqrt(_detrended_ss(profile, order, out=profile) / tau)
         f = np.sqrt((f * f).take(index).mean(axis=-1))
         return np.where(f > floor, f, 0.0)
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
     cum = np.empty((tau, *dev.shape[:-1]))  # column k: block k's cumulative deviations
-    if dev.size >= 16 * tau * tau:
-        cum[0] = dev[..., 0]
-        for j in range(1, tau):
-            np.add(cum[j - 1], dev[..., j], out=cum[j])
-    else:
-        np.cumsum(dev, axis=-1, out=np.moveaxis(cum, 0, -1))
+    _cumsum_last(dev, np.moveaxis(cum, 0, -1))
     s = np.sqrt(np.mean(np.square(dev, out=dev), axis=-1))
     varies = s > 0
     spread = np.where(varies, np.inf, -np.inf)  # -inf: never above a floor
@@ -292,6 +288,18 @@ def _block_layout(x: np.ndarray, starts: np.ndarray, window: int,
         return sliding_window_view(x, tau)[starts[0] : starts[0] + at[-1, -1] + 1 : g], at // g
     rows = sliding_window_view(x, window)[starts[0] : starts[-1] + 1 : step, : at.shape[1] * tau]
     return rows.reshape(*at.shape, tau), np.arange(at.size).reshape(at.shape)
+
+
+def _cumsum_last(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=-1, out=out)``, by one vector add per column from 16 tau**2
+    values on (tau the row length), where that beats a cumsum along each short row.
+    Either way each row adds in order, so the bits agree."""
+    if a.size < 16 * a.shape[-1] ** 2:
+        return np.cumsum(a, axis=-1, out=out)
+    out[..., 0] = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        np.add(out[..., j - 1], a[..., j], out=out[..., j])
+    return out
 
 
 def _ranges(rows: np.ndarray) -> np.ndarray:
@@ -334,7 +342,7 @@ def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float
     point; each window gets an independent least-squares polynomial fit of the
     given order against the within-window index. Trailing points beyond the
     last complete window are excluded and the divisor is the number of
-    covered points.
+    covered points. ``x_profile`` is left as given.
     """
     prof = np.asarray(x_profile, dtype=float)
     if order < 0:
@@ -344,13 +352,20 @@ def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float
     if m > prof.shape[-1]:
         raise ValueError(f"block size {m} exceeds profile length {prof.shape[-1]}")
     segments = prof[..., : prof.shape[-1] // m * m].reshape(*prof.shape[:-1], -1, m)
-    # each coefficient is one contraction along a block's row; the first column is 1.0
-    (_, weights), *rest = _detrend(m, order)
-    resid = segments - np.einsum("...j,j->...", segments, weights)[..., None]
-    for column, weights in rest:
-        resid -= np.einsum("...j,j->...", segments, weights)[..., None] * column
-    ss = np.einsum("...j,...j->...", resid, resid)
+    ss = _detrended_ss(segments, order, out=np.empty_like(segments))
     return np.sqrt(ss.sum(axis=-1) / (ss.shape[-1] * m))
+
+
+def _detrended_ss(rows: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
+    """Each row's residual sum of squares about its order-``order`` least-squares
+    trend. Every coefficient is one contraction of ``rows`` (the first column is
+    1.0), all taken before the residuals are written to ``out``, which may be ``rows``."""
+    terms = _detrend(rows.shape[-1], order)
+    coefficients = [np.einsum("...j,j->...", rows, weights)[..., None] for _, weights in terms]
+    resid = np.subtract(rows, coefficients[0], out=out)
+    for (column, _), c in zip(terms[1:], coefficients[1:]):
+        resid -= c * column
+    return np.einsum("...j,...j->...", resid, resid)
 
 
 @lru_cache(maxsize=256)

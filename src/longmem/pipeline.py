@@ -121,7 +121,8 @@ def parse_input_spec(spec: str) -> tuple[Path, str]:
 def load_config_file(path: Path) -> dict[str, str]:
     """Flat ``key = value`` config format in UTF-8 (a leading byte order mark
     is ignored); '#' starts a comment line, and a key may appear once. Lines
-    end where the price reader ends them, at LF, CRLF or a lone CR."""
+    end where the price reader ends them, at LF, CRLF or a lone CR, and lines,
+    keys and values shed only the ASCII padding a price cell may carry."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
@@ -129,18 +130,18 @@ def load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(_PAD)
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise PipelineError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key = key.strip(_PAD)
         if key in first_line:
             raise PipelineError(f"{path}:{lineno}: duplicate key {key!r} "
                                 f"(first on line {first_line[key]})")
         first_line[key] = lineno
-        values[key] = value.strip()
+        values[key] = value.strip(_PAD)
     return values
 
 

@@ -302,15 +302,16 @@ def test_rolling_memory_stays_small_at_long_shape():
     # 100,000 returns at the default protocol: 14,215 windows, one windows x
     # sizes matrix of statistics, its rows read out a chunk at a time
     returns = make_returns(np.random.default_rng(13).standard_normal(100_000))
-    for estimator in ("dfa", "rs"):
+    for estimator, order in [("dfa", 1), ("dfa", 2), ("rs", 1)]:
         tracemalloc.start()
         try:
-            result = rolling_hurst(returns, RollingProtocol(estimator=estimator))
+            result = rolling_hurst(returns, RollingProtocol(estimator=estimator,
+                                                            detrend_order=order))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.h.size == 14_215
-        assert peak < 3 * 2**20, estimator
+        assert peak < 3 * 2**20, (estimator, order)
 
 
 @pytest.mark.parametrize("estimator, order", [("dfa", 1), ("dfa", 2), ("rs", 1)])
@@ -767,6 +768,47 @@ def test_dfa_fluctuation_rows_do_not_depend_on_their_neighbours():
             shifted[1:] = row
             assert dfa_fluctuation(row.copy(), m, order) == value
             assert dfa_fluctuation(shifted[1:], m, order) == value
+
+
+def test_dfa_fluctuation_leaves_its_argument_as_given():
+    """One profile and a stack, writable and read-only: the argument keeps its
+    bytes, and the result is the bits a copy of it gives."""
+    rng = np.random.default_rng(1949)
+    for _ in range(100):
+        m = int(rng.integers(4, 251))
+        order = int(rng.integers(1, min(3, m - 2) + 1))
+        stack = random_profiles(rng, m)
+        for profile in (stack, stack[-1]):
+            frozen = profile.copy()
+            frozen.flags.writeable = False
+            before = profile.tobytes()
+            want = dfa_fluctuation(profile.copy(), m, order).tobytes()
+            assert dfa_fluctuation(profile, m, order).tobytes() == want
+            assert dfa_fluctuation(frozen, m, order).tobytes() == want
+            assert profile.tobytes() == before == frozen.tobytes()
+
+
+def test_cumsum_last_gives_the_bits_of_a_cumsum():
+    """Span (2-d) and window-major (3-d) block views, into a C-ordered buffer, as
+    DFA fills it, and down the columns of a moved-axis one, as R/S does, with
+    chunks on both sides of the 16 tau**2 values from which columns are added."""
+    rng = np.random.default_rng(1953)
+    seen = set()
+    for _ in range(200):
+        tau = int(rng.integers(4, 129))
+        window, step = int(rng.integers(2 * tau, 1001)), int(rng.integers(1, 40))
+        count = int(rng.integers(1, 150))
+        values = rng.standard_normal(window + step * count) * 10.0 ** rng.uniform(-3, 3)
+        blocks, _ = estimators._block_layout(values, step * np.arange(count), window, tau)
+        want = np.cumsum(blocks, axis=-1).tobytes()
+        rows = np.empty(blocks.shape)
+        assert estimators._cumsum_last(blocks, rows) is rows
+        assert rows.tobytes() == want
+        cols = np.moveaxis(np.empty((tau, *blocks.shape[:-1])), 0, -1)
+        estimators._cumsum_last(blocks, cols)
+        assert cols.tobytes() == want, (tau, window, step, count)
+        seen.add((blocks.ndim, blocks.size >= 16 * tau * tau))
+    assert seen == {(2, False), (2, True), (3, False), (3, True)}
 
 
 def previous_fit_power_law(points):

@@ -1000,6 +1000,50 @@ class TestCli:
         assert json.loads((tmp_path / "o" / "synth_stats.json").read_text())[
             "protocol"]["window"] == 500
 
+    # a config value sheds only ASCII padding, so it fails as the same flag value does
+    @pytest.mark.parametrize("value", ["300\xa0", "\xa0300", "300\u3000"])
+    def test_config_file_values_shed_only_ascii_padding(self, tmp_path, value):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"window = {value}\n", encoding="utf-8")
+        res = self.invoke("run", str(self.GOLDEN / "synth.csv"), "--config", str(cfg_file),
+                          "--output-dir", str(tmp_path / "o"))
+        flag = self.invoke("run", str(self.GOLDEN / "synth.csv"), "--window", value,
+                           "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == flag.exit_code == 1
+        assert res.stderr == flag.stderr == (
+            f"error: bad setting window = {value!r}: a number takes ASCII characters only, "
+            "and no '_'\n")
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    def test_config_file_lines_keys_and_values_shed_ascii_padding(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("\t window \t=\t 300 \t\n  step= 5\x0c\n", encoding="utf-8")
+        res = self.invoke("run", str(self.GOLDEN / "synth.csv"), "--config", str(cfg_file),
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 0, res.output
+        protocol = json.loads((tmp_path / "o" / "synth_stats.json").read_text())["protocol"]
+        assert (protocol["window"], protocol["step"]) == (300, 5)
+
+    # synth reads its numbers as run reads its settings
+    @pytest.mark.parametrize("name, value", [
+        ("h", "0_.6"), ("h", "\uff10.6"), ("n", "1_000"), ("n", "\xa0100"),
+        ("sigma", "1_0"), ("seed", "\uff17"), ("seed", "1_1")])
+    def test_synth_numbers_take_ascii_digits_and_no_underscore(self, tmp_path, name, value):
+        out = tmp_path / "gen.csv"
+        flags = {"h": "0.6", "n": "100", name: value}
+        res = self.invoke("synth", str(out), *[a for k, v in flags.items() for a in (f"--{k}", v)])
+        assert res.exit_code == 1
+        assert res.stderr == (f"error: bad setting {name} = {value!r}: "
+                              "a number takes ASCII characters only, and no '_'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_numbers_may_carry_ascii_padding(self, tmp_path):
+        out = tmp_path / "gen.csv"
+        res = self.invoke("synth", str(out), "--h", " 0.6", "--n", "100 ", "--sigma", "\t2",
+                          "--seed", " 7 ")
+        assert res.exit_code == 0, res.output
+        assert out.read_text().splitlines()[1] == "# h=0.6 n=100 sigma=2.0 seed=7"
+
     # click's own usage errors exit 1, as any other unusable configuration
     @pytest.mark.parametrize("args, named", [
         (["run", "x.csv", "--windw", "500"], "'--windw'"),
