@@ -162,7 +162,7 @@ def _number(text: str, kind: type = int) -> int | float:
 
 
 def _items(value: str) -> list[str]:
-    return [s.strip() for s in value.split(",") if s.strip()]
+    return [s.strip(_PAD) for s in value.split(",") if s.strip(_PAD)]
 
 
 # One entry per RunConfig field: how the field is read from its setting
@@ -187,20 +187,20 @@ _SETTINGS = {
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
-    """A RunConfig from flat string settings (config file fields or flags)."""
+    """A RunConfig from flat string settings (config file fields or flags), _PAD stripped."""
     unknown = set(mapping) - _SETTINGS.keys()
     if unknown:
         raise PipelineError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
     for key, value in mapping.items():
         try:
-            kwargs[key] = _SETTINGS[key][0](value)
+            kwargs[key] = _SETTINGS[key][0](value.strip(_PAD))
         except ValueError as exc:
             raise PipelineError(f"bad setting {key} = {value!r}: {exc}") from exc
     return RunConfig(**kwargs)
 
 
-# ASCII whitespace, the only padding a line or cell may carry (a bare
+# ASCII whitespace, the only padding a line, cell or setting may carry (a bare
 # ``str.strip()`` would also take NBSP and U+3000)
 _PAD = " \t\n\r\x0b\x0c"
 

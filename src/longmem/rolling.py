@@ -72,7 +72,7 @@ def split_at(
     when it spans it) or "end".
     """
     if by not in ("start", "end"):
-        raise ValueError("split classification must be 'start' or 'end'")
+        raise ValueError("split_by must be 'start' or 'end'")
     if not result.h.size:
         raise ValueError("cannot split an empty rolling result")
     keys = result.start_dates if by == "start" else result.end_dates

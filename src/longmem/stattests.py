@@ -236,15 +236,6 @@ class TestReport:
     levene: LeveneResult
     bounds: dict[str, SubsampleBounds]  # keys: whole, before, after
 
-    def __post_init__(self) -> None:
-        for key, b in self.bounds.items():
-            if abs(b.std_error - b.sd / math.sqrt(b.n)) > 1e-12:
-                raise ValueError(f"{key}: std_error is not sd/sqrt(n)")
-            if not b.lower <= b.mean <= b.upper:
-                raise ValueError(f"{key}: mean outside its own bounds")
-            if abs((b.upper - b.mean) - (b.mean - b.lower)) > 1e-12:
-                raise ValueError(f"{key}: bounds not symmetric about the mean")
-
     def to_dict(self) -> dict:
         sides, w = ("before", "after"), self.levene.w
         return {

@@ -1024,6 +1024,43 @@ class TestCli:
         protocol = json.loads((tmp_path / "o" / "synth_stats.json").read_text())["protocol"]
         assert (protocol["window"], protocol["step"]) == (300, 5)
 
+    # one valid non-default value for each setting that has a flag
+    PADDED_SETTINGS = {
+        "estimator": "rs", "window": "300", "step": "5", "ladder": "4,8,16,32",
+        "detrend_order": "2", "split_date": "2001-06-01", "split_by": "end",
+        "confidence_level": "0.99", "output_dir": "o", "formats": "csv",
+    }
+
+    # a flag and a config line go through one parser, so padding reads alike in both
+    @pytest.mark.parametrize("key", [key for key, (_, metavar, _) in _SETTINGS.items() if metavar])
+    def test_a_padded_flag_reads_as_its_config_line(self, tmp_path, monkeypatch, key):
+        value = f" \t{self.PADDED_SETTINGS[key]} \t"
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        runs = {}
+        for side, args in (("flag", ["--" + key.replace("_", "-"), value]),
+                           ("file", ["--config", str(cfg_file)])):
+            cwd = tmp_path / side
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            res = self.invoke("run", str(self.GOLDEN / "synth.csv"), *args)
+            files = {p.relative_to(cwd): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+            runs[side] = (res.exit_code, res.stderr, files)
+        assert runs["flag"] == runs["file"]
+        assert runs["flag"][0] == 0, runs["flag"][1]
+
+    # a list item sheds only ASCII padding, as a price cell does
+    @pytest.mark.parametrize("by_file, pad", [(False, "\xa0"), (True, "\u3000")])
+    def test_list_items_shed_only_ascii_padding(self, tmp_path, by_file, pad):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"formats = json,{pad}csv\n", encoding="utf-8")
+        args = ["--config", str(cfg_file)] if by_file else ["--formats", f"json,{pad}csv"]
+        res = self.invoke("run", str(self.GOLDEN / "synth.csv"), *args,
+                          "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 1
+        assert res.stderr == f"error: unknown formats: {[pad + 'csv']!r}\n"
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
     # synth reads its numbers as run reads its settings
     @pytest.mark.parametrize("name, value", [
         ("h", "0_.6"), ("h", "\uff10.6"), ("n", "1_000"), ("n", "\xa0100"),

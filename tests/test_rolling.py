@@ -250,3 +250,8 @@ class TestSplitAt:
     def test_bad_classifier(self, result):
         with pytest.raises(ValueError, match="'start' or 'end'"):
             split_at(result, date(2000, 1, 1), by="middle")
+
+    def test_bad_classifier_is_named_as_the_setting(self, result):
+        # the message RunConfig gives for the same value
+        with pytest.raises(ValueError, match=r"^split_by must be 'start' or 'end'$"):
+            split_at(result, date(2000, 1, 1), by="middle")

@@ -304,7 +304,32 @@ class TestTBounds:
 
 # ---------------------------------------------------------------- report
 
+def assert_bounds_hold(report):
+    """What ``t_bounds`` makes of every bound: the mean inside, ``std_error`` as
+    ``sd / sqrt(n)``, and the two half-widths equal up to rounding (4 ulp of the
+    larger bound's magnitude)."""
+    for key, b in report.bounds.items():
+        assert b.lower <= b.mean <= b.upper, key
+        assert b.std_error == b.sd / math.sqrt(b.n), key
+        ulp = math.ulp(max(abs(b.lower), abs(b.upper)))
+        assert abs((b.upper - b.mean) - (b.mean - b.lower)) <= 4 * ulp, (key, b)
+
+
 class TestBuildReport:
+    def test_large_values_build(self):
+        # at 1e4 the half-widths differ by rounding beyond 1e-12
+        assert_bounds_hold(build_report([10001.0, 10137.5], [9950.0, 10210.25]))
+
+    def test_bounds_hold_at_every_magnitude_and_spread(self):
+        rng = np.random.default_rng(2008)
+        for magnitude in 10.0 ** np.arange(13):  # 1 to 1e12
+            for spread in magnitude * 10.0 ** np.arange(-3, 4):  # 1e-3 to 1e3 times it
+                for _ in range(4):
+                    n1, n2 = rng.integers(2, 41, size=2)
+                    before = rng.normal(magnitude, spread, n1)
+                    after = rng.normal(magnitude, spread, n2)
+                    assert_bounds_hold(build_report(before, after))
+
     def test_identical_subsamples(self):
         sample = list(np.linspace(0.4, 0.6, 20))
         report = build_report(sample, sample)
