@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -203,16 +203,15 @@ def estimate_from_points(
     return HurstEstimate(method, detrend_order, ladder, pts)
 
 
-def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[HurstEstimate]:
-    """One estimate per window of ``values`` under ``protocol``, whose checks
-    have passed: ``window`` points starting every ``step`` points from the
-    first. Each is fit to the ladder sizes where ``_shared_blocks`` finds a
-    statistic above the window's floor, ``FLAT_SPREAD`` of its largest magnitude
-    (one reduction over all windows, copying none). Each ladder size is one pass
-    over all windows, in chunks sized for it, and fills one column of a windows
-    x sizes matrix, read out a chunk of rows at a time. Each step is element-wise,
-    a sum or contraction along a row or an exact max or min, so a window gives
-    the same bits alone or among others, whatever the chunks or layout."""
+def _ladder_stats(values: np.ndarray, protocol: RollingProtocol) -> np.ndarray:
+    """The windows x sizes matrix of statistics of ``values`` under ``protocol``,
+    whose checks have passed: a row per window (``window`` points, starting every
+    ``step`` points from the first), a column per ladder size, 0 where
+    ``_shared_blocks`` finds none above the window's floor, ``FLAT_SPREAD`` of its
+    largest magnitude (one reduction over all windows, copying none). Each ladder
+    size is one pass over all windows, in chunks sized for it. Each step is
+    element-wise, a sum or contraction along a row or an exact max or min, so a
+    window gives the same bits alone or among others, whatever the chunks or layout."""
     # every step past the series gives the first window alone; capped, it fits int64
     window, step, ladder = protocol.window, min(protocol.step, values.size), protocol.ladder
     order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
@@ -229,12 +228,26 @@ def _estimate_rows(values: np.ndarray, protocol: RollingProtocol) -> Iterator[Hu
             last = min(count, first + per_size)
             stats[first:last, column] = _shared_blocks(
                 values, step * np.arange(first, last), window, m, floor[first:last], order)
-    per_read = CHUNK // len(ladder)  # rows read out as CHUNK Python floats at a time
-    for first in range(0, count, per_read):
-        for row in stats[first : first + per_read].tolist():
-            points = [(m, s) for m, s in zip(ladder, row) if s > 0]
-            yield estimate_from_points(points, method=protocol.estimator, ladder=ladder,
-                                       detrend_order=order)
+    return stats
+
+
+def _fit(row: np.ndarray, protocol: RollingProtocol) -> HurstEstimate:
+    """One window's estimate, through the positive entries of its ``_ladder_stats`` row."""
+    points = [(m, s) for m, s in zip(protocol.ladder, row.tolist()) if s > 0]
+    order = protocol.detrend_order if protocol.estimator == METHOD_DFA else None
+    return estimate_from_points(points, method=protocol.estimator, ladder=protocol.ladder,
+                                detrend_order=order)
+
+
+def _whole_series(x: Sequence[float], estimator: str, ladder: Iterable[int] | None,
+                  order: int = 1) -> HurstEstimate:
+    """The estimate of ``x`` as the one window of a protocol, once every value is finite."""
+    values = np.asarray(x, dtype=float).reshape(-1)
+    protocol = RollingProtocol(values.size, 1, estimator, ladder, order)
+    if not np.isfinite(values).all():
+        at = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"cannot estimate from non-finite value {values[at]} at index {at}")
+    return _fit(_ladder_stats(values, protocol)[0], protocol)
 
 
 def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
@@ -319,9 +332,7 @@ def hurst_rs(x: Sequence[float], ladder: Iterable[int] | None = None) -> HurstEs
     rounding are skipped, sizes with none dropped; fewer than 3 survivors raise.
     The series is the one window of a :class:`RollingProtocol`, which checks it.
     """
-    values = np.asarray(x, dtype=float).reshape(-1)
-    protocol = RollingProtocol(values.size, 1, METHOD_RS, ladder)
-    return next(_estimate_rows(values, protocol))
+    return _whole_series(x, METHOD_RS, ladder)
 
 
 def dfa_profile(y: Sequence[float]) -> np.ndarray:
@@ -390,6 +401,4 @@ def hurst_dfa(y: Sequence[float], ladder: Iterable[int] | None = None,
     survive. The series is the one window of a :class:`RollingProtocol`, which
     checks it with ``order``.
     """
-    values = np.asarray(y, dtype=float).reshape(-1)
-    protocol = RollingProtocol(values.size, 1, METHOD_DFA, ladder, order)
-    return next(_estimate_rows(values, protocol))
+    return _whole_series(y, METHOD_DFA, ladder, order)

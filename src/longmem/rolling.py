@@ -7,7 +7,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from .estimators import RollingProtocol, _estimate_rows
+from .estimators import RollingProtocol, _fit, _ladder_stats
 from .series import ReturnSeries
 
 __all__ = [
@@ -51,11 +51,10 @@ def rolling_hurst(returns: ReturnSeries, protocol: RollingProtocol) -> RollingRe
     n, window, step = len(returns), protocol.window, protocol.step
     offsets = window_offsets(n, window, step)
     starts, ends = returns.dates[:n - window + 1:step], returns.dates[window - 1::step]
-    estimates = _estimate_rows(returns.values, protocol)
     h, r_squared = np.empty(len(offsets)), np.empty(len(offsets))
-    for i in range(len(offsets)):
+    for i, row in enumerate(_ladder_stats(returns.values, protocol)):
         try:
-            est = next(estimates)
+            est = _fit(row, protocol)
         except ValueError as exc:
             raise ValueError(f"window {i + 1} ({starts[i]} to {ends[i]}): {exc}") from exc
         h[i], r_squared[i] = est.h, est.r_squared

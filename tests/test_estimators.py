@@ -359,6 +359,15 @@ class TestDropRule:
         )
 
     @pytest.mark.parametrize("estimate", [hurst_dfa, hurst_rs])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_first_non_finite_value_is_named(self, estimate, bad):
+        x = np.array(generate_gaussian(512, seed=4))
+        x[[2, 300]] = bad, math.nan
+        with pytest.raises(ValueError) as info:
+            estimate(x, PAPER_LADDER)
+        assert str(info.value) == f"cannot estimate from non-finite value {bad} at index 2"
+
+    @pytest.mark.parametrize("estimate", [hurst_dfa, hurst_rs])
     def test_flat_rule_is_relative_to_scale(self, estimate):
         x = generate_gaussian(1024, seed=5)
         tiny, unit = estimate(1e-12 * x, PAPER_LADDER), estimate(x, PAPER_LADDER)

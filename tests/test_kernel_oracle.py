@@ -321,15 +321,22 @@ def test_rolling_bits_do_not_depend_on_the_chunks(monkeypatch, paper_series,
     protocol = RollingProtocol(estimator=estimator, detrend_order=order)
     stale = paper_series.copy()
     stale[1000:1600] = 0.0
-    runs = []
+    runs, matrices = [], []
     for chunk in (estimators.CHUNK, 1 << 9):
         monkeypatch.setattr(estimators, "CHUNK", chunk)
         with pytest.raises(ValueError) as failure:
             rolling_hurst(make_returns(stale), protocol)
         runs.append((rolling_hurst(make_returns(paper_series), protocol), str(failure.value)))
+        matrices.append([estimators._ladder_stats(values, protocol)
+                         for values in (paper_series, stale)])
     (default, failure), (small, small_failure) = runs
     assert np.array_equal(small.h, default.h)
     assert np.array_equal(small.r_squared, default.r_squared)
+    for got, want in zip(*matrices):
+        assert np.array_equal(got, want)
+    stale_stats = matrices[0][1]
+    assert stale_stats.shape == (default.h.size, len(protocol.ladder))
+    assert not stale_stats[143].any()  # window 144, the one the failure names
     assert failure == small_failure == (
         "window 144 (2002-09-30 to 2004-02-11): insufficient scaling points: "
         "only 0 of 6 ladder sizes have a positive statistic")
@@ -957,5 +964,5 @@ def test_block_layout_holds_few_blocks_twice(monkeypatch):
     for window, step, sizes in cases:
         protocol = RollingProtocol(window=window, step=step, ladder=BlockLadder(sizes))
         values = np.zeros(window + step * int(rng.integers(0, 400)))
-        next(estimators._estimate_rows(values, protocol))
+        estimators._ladder_stats(values, protocol)
     assert 1.0 <= worst <= 1.5
