@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .estimators import METHOD_RS, hurst_dfa, hurst_rs
+from .estimators import _whole_series
 from .pipeline import (
     _SETTINGS,
     PipelineError,
@@ -125,11 +125,8 @@ def hurst_cmd(ctx: click.Context, inputs, **flags) -> None:
     cfg = _build_config(inputs, window=str(sys.maxsize), **flags)
 
     def show(prices) -> None:
-        returns = log_returns(prices).values
-        if cfg.estimator == METHOD_RS:
-            h = hurst_rs(returns, cfg.ladder)
-        else:
-            h = hurst_dfa(returns, cfg.ladder, cfg.detrend_order)
+        h = _whole_series(log_returns(prices).values, cfg.estimator, cfg.ladder,
+                          cfg.detrend_order)
         click.echo(
             f"{prices.id}: h={h.h:.6f} r_squared={h.r_squared:.6f} "
             f"method={h.method} points={len(h.points)}"

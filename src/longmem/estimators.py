@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -164,31 +164,17 @@ class HurstEstimate:
     """One Hurst exponent with its regression diagnostics.
 
     ``h``, ``intercept`` and ``r_squared`` come from one log-log fit through
-    ``points``, the (size, statistic) pairs kept from ``ladder``; at least 3
-    are needed. ``detrend_order`` is the DFA order and None for R/S.
+    ``points``, the (size, statistic) pairs kept from ``ladder``.
+    ``detrend_order`` is the DFA order and None for R/S.
     """
 
     method: str
     detrend_order: int | None
     ladder: BlockLadder
     points: tuple[tuple[int, float], ...]
-    h: float = field(init=False)
-    intercept: float = field(init=False)
-    r_squared: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.method not in (METHOD_DFA, METHOD_RS):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == METHOD_DFA:
-            if self.detrend_order is None or self.detrend_order < 1:
-                raise ValueError("DFA estimates need detrend_order >= 1")
-        elif self.detrend_order is not None:
-            raise ValueError("detrend_order applies to DFA only")
-        if len(self.points) < 3:
-            raise ValueError(f"insufficient scaling points: only {len(self.points)} of "
-                             f"{len(self.ladder)} ladder sizes have a positive statistic")
-        for name, value in zip(("h", "intercept", "r_squared"), fit_power_law(self.points)):
-            object.__setattr__(self, name, value)
+    h: float
+    intercept: float
+    r_squared: float
 
 
 def estimate_from_points(
@@ -198,9 +184,12 @@ def estimate_from_points(
     ladder: BlockLadder,
     detrend_order: int | None = None,
 ) -> HurstEstimate:
-    """Build a HurstEstimate by regressing the given scaling points."""
+    """Build a HurstEstimate by regressing the given scaling points, at least 3."""
     pts = tuple([(int(m), float(v)) for m, v in points])
-    return HurstEstimate(method, detrend_order, ladder, pts)
+    if len(pts) < 3:
+        raise ValueError(f"insufficient scaling points: only {len(pts)} of "
+                         f"{len(ladder)} ladder sizes have a positive statistic")
+    return HurstEstimate(method, detrend_order, ladder, pts, *fit_power_law(pts))
 
 
 def _ladder_stats(values: np.ndarray, protocol: RollingProtocol) -> np.ndarray:

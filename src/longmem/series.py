@@ -130,20 +130,6 @@ class DescriptiveStats:
     kurtosis: float | None
     jarque_bera: float | None
 
-    def __post_init__(self) -> None:
-        if not (self.min <= self.median <= self.max):
-            raise ValueError("order statistics violated: need min <= median <= max")
-        if self.std_dev < 0:
-            raise ValueError("std_dev must be non-negative")
-        defined = (self.skewness is not None, self.kurtosis is not None,
-                   self.jarque_bera is not None)
-        if any(defined) != all(defined):
-            raise ValueError("higher moments must be all defined or all undefined")
-        if self.jarque_bera is not None:
-            expected = jarque_bera(self.skewness, self.kurtosis, self.n)
-            if abs(self.jarque_bera - expected) > 1e-9 * max(1.0, abs(expected)):
-                raise ValueError("jarque_bera inconsistent with stored moments")
-
 
 def describe(values: Sequence[float]) -> DescriptiveStats:
     """Descriptive statistics of a float sequence (pass a series' ``.values``).

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from longmem import estimators
 from longmem.estimators import (
     BlockLadder,
-    HurstEstimate,
     dfa_fluctuation,
     dfa_profile,
     estimate_from_points,
@@ -313,25 +312,24 @@ class TestHurstDfa:
 
 class TestHurstEstimate:
     def test_self_consistency(self):
-        est = hurst_dfa(generate_gaussian(1024, seed=5), BlockLadder((4, 8, 16, 32)))
-        slope, _, _ = fit_power_law(est.points)
-        assert abs(slope - est.h) <= 1e-12 * max(1.0, abs(est.h))
-
-    def test_rejects_rs_with_detrend_order(self):
-        lad = BlockLadder((4, 8, 16))
-        points = ((4, 2.0), (8, 2.8), (16, 4.1))
-        with pytest.raises(ValueError, match="DFA only"):
-            HurstEstimate("rs", 1, lad, points)
+        x, lad = generate_gaussian(1024, seed=5), BlockLadder((4, 8, 16, 32))
+        for est, kind in [(hurst_dfa(x, lad, order=1), ("dfa", 1)),
+                          (hurst_dfa(x, lad, order=2), ("dfa", 2)),
+                          (hurst_rs(x, lad), ("rs", None))]:
+            slope, _, _ = fit_power_law(est.points)
+            assert abs(slope - est.h) <= 1e-12 * max(1.0, abs(est.h))
+            assert (est.method, est.detrend_order) == kind
 
     def test_fit_is_stored(self):
         lad = BlockLadder((4, 8, 16))
         points = ((4, 2.0), (8, 2.8), (16, 4.1))
-        est = HurstEstimate("rs", None, lad, points)
+        est = estimate_from_points(points, method="rs", ladder=lad)
+        assert est.points == points
         assert (est.h, est.intercept, est.r_squared) == fit_power_law(points)
 
     def test_too_few_points_names_survivors(self):
         with pytest.raises(ValueError) as info:
-            HurstEstimate("rs", None, BlockLadder((4, 8, 16)), ((4, 2.0), (8, 2.8)))
+            estimate_from_points(((4, 2.0), (8, 2.8)), method="rs", ladder=BlockLadder((4, 8, 16)))
         assert str(info.value) == (
             "insufficient scaling points: only 2 of 3 ladder sizes have a positive statistic"
         )
