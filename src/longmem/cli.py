@@ -12,7 +12,6 @@ from . import __version__
 from .estimators import _whole_series
 from .pipeline import (
     _SETTINGS,
-    PipelineError,
     RunConfig,
     _number,
     analyse_series,
@@ -70,16 +69,16 @@ class _Number(click.ParamType):
         try:
             return _number(value, lambda text: self.kind.convert(text, param, ctx))
         except ValueError as exc:
-            raise PipelineError(f"bad setting {param.name} = {value!r}: {exc}") from exc
+            raise ValueError(f"bad setting {param.name} = {value!r}: {exc}") from exc
 
 
 class _Main(click.Group):
-    """A command's unusable configuration or command line: one ``error:`` line, exit 1."""
+    """An unusable configuration (a ValueError) or command line: one ``error:`` line, exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except PipelineError as exc:
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(1)
         except click.UsageError as exc:  # format_message() names the option; str() does not
@@ -188,11 +187,7 @@ def test_cmd(ctx, inputs, **flags):
               help="Generator seed.")
 def synth_cmd(output, h, n, sigma, seed) -> None:
     """Write a synthetic fGn-derived price CSV for pipeline validation."""
-    try:
-        spec = FgnSpec(h=h, n=n, sigma=sigma, seed=seed)
-    except ValueError as exc:
-        raise PipelineError(str(exc)) from exc
-    path = emit_synth(spec, output)
+    path = emit_synth(FgnSpec(h=h, n=n, sigma=sigma, seed=seed), output)
     click.echo(f"wrote {path}")
 
 

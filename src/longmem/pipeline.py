@@ -35,7 +35,6 @@ from .stattests import TestReport, build_report
 from .synth import GENERATOR_ID, FgnSpec, generate_fgn
 
 __all__ = [
-    "PipelineError",
     "RunConfig",
     "ingest_csv",
     "emit_synth",
@@ -62,10 +61,6 @@ COUNT_NOTE = (
 )
 
 
-class PipelineError(Exception):
-    """Raised for configuration or environment failures that abort a run."""
-
-
 @dataclass(frozen=True)
 class RunConfig(RollingProtocol):
     """Full pipeline configuration: the rolling protocol it extends (two-year
@@ -88,31 +83,35 @@ class RunConfig(RollingProtocol):
             tuple((Path(p), str(label)) for p, label in self.inputs),
         )
         object.__setattr__(self, "formats", frozenset(self.formats))
-        # two inputs under one label would write the same output files
+        # a label names the output files and is written verbatim into the CSV
+        # header, the JSON and each stderr line; two inputs under one label
+        # would write the same output files
         seen: dict[str, Path] = {}
         for path, label in self.inputs:
+            if not label:
+                raise ValueError(f"empty label in input spec {f'{path}:'!r}")
+            if re.search(r"[\x00-\x1f\x7f]", label):
+                raise ValueError(f"bad label {label!r}: it holds a control character")
+            if "/" in label or os.sep in label:
+                raise ValueError(f"bad label {label!r}: it holds a path separator")
             if label in seen:
-                raise PipelineError(f"duplicate label {label!r}: {seen[label]} and {path}")
+                raise ValueError(f"duplicate label {label!r}: {seen[label]} and {path}")
             seen[label] = path
         if not self.formats <= {"json", "csv"}:
-            raise PipelineError(f"unknown formats: {sorted(self.formats - {'json', 'csv'})}")
+            raise ValueError(f"unknown formats: {sorted(self.formats - {'json', 'csv'})}")
         if not self.formats:
-            raise PipelineError("at least one output format is required")
+            raise ValueError("at least one output format is required")
         if not 0.5 < self.confidence_level < 1.0:
-            raise PipelineError("confidence_level must lie in (0.5, 1)")
+            raise ValueError("confidence_level must lie in (0.5, 1)")
         if self.split_by not in ("start", "end"):
-            raise PipelineError("split_by must be 'start' or 'end'")
-        try:  # the protocol's settings are checked at load time
-            super().__post_init__()
-        except ValueError as exc:
-            raise PipelineError(str(exc)) from exc
+            raise ValueError("split_by must be 'start' or 'end'")
+        super().__post_init__()
 
 
 def parse_input_spec(spec: str) -> tuple[Path, str]:
-    """``path`` or ``path:label``; the default label is the file stem."""
+    """``path`` or ``path:label``; the default label is the file stem. RunConfig
+    checks the label."""
     path_part, sep, label = spec.rpartition(":")
-    if sep and path_part and not label:
-        raise PipelineError(f"empty label in input spec {spec!r}")
     if sep and path_part and "/" not in label and os.sep not in label:
         return Path(path_part), label
     return Path(spec), Path(spec).stem
@@ -126,7 +125,7 @@ def load_config_file(path: Path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise PipelineError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -134,12 +133,12 @@ def load_config_file(path: Path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise PipelineError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip(_PAD)
         if key in first_line:
-            raise PipelineError(f"{path}:{lineno}: duplicate key {key!r} "
-                                f"(first on line {first_line[key]})")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first on line {first_line[key]})")
         first_line[key] = lineno
         values[key] = value.strip(_PAD)
     return values
@@ -190,13 +189,13 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     """A RunConfig from flat string settings (config file fields or flags), _PAD stripped."""
     unknown = set(mapping) - _SETTINGS.keys()
     if unknown:
-        raise PipelineError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
     for key, value in mapping.items():
         try:
             kwargs[key] = _SETTINGS[key][0](value.strip(_PAD))
         except ValueError as exc:
-            raise PipelineError(f"bad setting {key} = {value!r}: {exc}") from exc
+            raise ValueError(f"bad setting {key} = {value!r}: {exc}") from exc
     return RunConfig(**kwargs)
 
 
@@ -393,24 +392,24 @@ def emit_synth(spec: FgnSpec, path: Path | str) -> Path:
 
     Prices follow p[0] = 1, p[t+1] = p[t] * exp(x[t]/100), so re-ingesting the
     file and taking log returns recovers the generated noise. The seed and H
-    are recorded in '#' header comments. Raises PipelineError, before writing,
+    are recorded in '#' header comments. Raises ValueError, before writing,
     when the last price would be dated past 9999-12-31, or a price overflows to
     inf or underflows to 0.
     """
     path = Path(path)
     most = (Date.max - SYNTH_EPOCH).days  # the last price is dated SYNTH_EPOCH + n days
     if spec.n > most:
-        raise PipelineError(f"cannot write {path}: price {spec.n} would be dated past "
-                            f"{Date.max}; n may be at most {most}")
+        raise ValueError(f"cannot write {path}: price {spec.n} would be dated past "
+                         f"{Date.max}; n may be at most {most}")
     noise = generate_fgn(spec)
     log_prices = np.concatenate([[0.0], np.cumsum(noise / 100.0)])
     with np.errstate(over="ignore"):  # the check below names the price
         prices = np.exp(log_prices)
     bad = np.flatnonzero(~((prices > 0) & (prices < np.inf)))
     if bad.size:
-        raise PipelineError(f"cannot write {path}: price {bad[0]} is {prices[bad[0]]} at "
-                            f"sigma {spec.sigma!r}; a smaller sigma keeps every price "
-                            "finite and positive")
+        raise ValueError(f"cannot write {path}: price {bad[0]} is {prices[bad[0]]} at "
+                         f"sigma {spec.sigma!r}; a smaller sigma keeps every price "
+                         "finite and positive")
     lines = [
         "# synthetic fractional Gaussian noise price series",
         f"# h={spec.h!r} n={spec.n} sigma={spec.sigma!r} seed={spec.seed}",
@@ -425,7 +424,7 @@ def emit_synth(spec: FgnSpec, path: Path | str) -> Path:
     try:
         _write_files({path: "\n".join(lines) + "\n"})
     except OSError as exc:
-        raise PipelineError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -544,7 +543,7 @@ def _check_output_dir(out: Path) -> None:
         probe = tempfile.TemporaryFile(dir=out)
         probe.close()
     except OSError as exc:
-        raise PipelineError(f"output directory {out} is not writable: {exc}") from exc
+        raise ValueError(f"output directory {out} is not writable: {exc}") from exc
 
 
 def run_each(inputs, handle, *, log=None) -> int:
@@ -558,7 +557,7 @@ def run_each(inputs, handle, *, log=None) -> int:
     for path, label in inputs:
         try:
             handle(ingest_csv(path, label))
-        except (ValueError, PipelineError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {label}: {exc}", file=sys.stderr if log is None else log)
             status = 2
     return status
@@ -568,12 +567,12 @@ def run_pipeline(config: RunConfig, *, log=None) -> int:
     """Process every configured input series; returns the process exit status.
 
     0 on full success; 2 when at least one series failed (the remaining
-    series are still processed). Raises PipelineError before any computation
+    series are still processed). Raises ValueError before any computation
     when the configuration itself is unusable (no inputs, unwritable output
     directory). Progress and errors go to ``log``, stderr when None.
     """
     if not config.inputs:
-        raise PipelineError("no input series configured")
+        raise ValueError("no input series configured")
     _check_output_dir(Path(config.output_dir))
     log = sys.stderr if log is None else log
 

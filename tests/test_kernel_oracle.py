@@ -300,7 +300,7 @@ def test_rolling_memory_stays_small(estimator, order):
 
 def test_rolling_memory_stays_small_at_long_shape():
     # 100,000 returns at the default protocol: 14,215 windows, one windows x
-    # sizes matrix of statistics, its rows read out a chunk at a time
+    # sizes matrix of statistics, filled first, then each row fit on its own
     returns = make_returns(np.random.default_rng(13).standard_normal(100_000))
     for estimator, order in [("dfa", 1), ("dfa", 2), ("rs", 1)]:
         tracemalloc.start()

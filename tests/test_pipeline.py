@@ -27,7 +27,6 @@ from longmem.cli import main
 from longmem.pipeline import (
     _SETTINGS,
     SYNTH_EPOCH,
-    PipelineError,
     RunConfig,
     config_from_mapping,
     emit_synth,
@@ -273,17 +272,17 @@ class TestRunConfig:
         assert cfg.formats == {"json", "csv"}
 
     def test_protocol_validated_at_load_time(self):
-        with pytest.raises(PipelineError, match="twice the largest"):
+        with pytest.raises(ValueError, match="twice the largest"):
             RunConfig(window=100)
 
     @pytest.mark.parametrize("value", ["20080915", "2008-W38-1"])
     def test_split_date_takes_only_yyyy_mm_dd(self, value):
         # the date form the price files take, on every supported Python
-        with pytest.raises(PipelineError, match=f"expected YYYY-MM-DD, got '{value}'"):
+        with pytest.raises(ValueError, match=f"expected YYYY-MM-DD, got '{value}'"):
             config_from_mapping({"split_date": value})
 
     def test_bad_formats_rejected(self):
-        with pytest.raises(PipelineError, match="unknown formats"):
+        with pytest.raises(ValueError, match="unknown formats"):
             RunConfig(formats=frozenset({"yaml"}))
 
     def test_config_file_round_trip(self, tmp_path):
@@ -310,7 +309,7 @@ class TestRunConfig:
         # a page break after a value is trailing space on its line, not a line end
         cfg_file = tmp_path / "f.cfg"
         cfg_file.write_text("window = 500\f\nwindow = 1024\n")
-        with pytest.raises(PipelineError, match=r"f\.cfg:2: duplicate key 'window' "
+        with pytest.raises(ValueError, match=r"f\.cfg:2: duplicate key 'window' "
                                                 r"\(first on line 1\)$"):
             load_config_file(cfg_file)
 
@@ -329,13 +328,29 @@ class TestRunConfig:
         assert getattr(config_from_mapping({key: default}), key) == getattr(RunConfig(), key)
 
     def test_unknown_config_key_rejected(self):
-        with pytest.raises(PipelineError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown config keys"):
             config_from_mapping({"windw": "12"})
 
     def test_input_spec_with_label(self):
         path, label = parse_input_spec("data/x.csv:OE")
         assert path == Path("data/x.csv")
         assert label == "OE"
+
+    def test_input_spec_only_splits(self):
+        # RunConfig checks the label, whichever way it came
+        assert parse_input_spec("x.csv:") == (Path("x.csv"), "")
+        assert parse_input_spec("a\nb.csv") == (Path("a\nb.csv"), "a\nb")
+
+    @pytest.mark.parametrize("label, message", [
+        ("", "empty label in input spec '{}:'"),
+        ("a\nb", "bad label 'a\\nb': it holds a control character"),
+        ("../x", "bad label '../x': it holds a path separator"),
+    ])
+    def test_bad_label_raises_before_any_file_is_written(self, tmp_path, synth_file, label,
+                                                         message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(synth_file))}$"):
+            run_pipeline(RunConfig(inputs=[(synth_file, label)], output_dir=tmp_path / "out"))
+        assert list(tmp_path.iterdir()) == [synth_file]
 
 
 class TestRunPipeline:
@@ -426,12 +441,12 @@ class TestRunPipeline:
             output_dir=blocker,
             split_date=date(2001, 12, 1),
         )
-        with pytest.raises(PipelineError, match="not writable"):
+        with pytest.raises(ValueError, match="not writable"):
             run_pipeline(cfg, log=io.StringIO())
 
     def test_no_inputs_rejected_before_out_dir_touch(self, tmp_path):
         cfg = RunConfig(output_dir=tmp_path / "never")
-        with pytest.raises(PipelineError, match="no input"):
+        with pytest.raises(ValueError, match="no input"):
             run_pipeline(cfg)
         assert not (tmp_path / "never").exists()
 
@@ -1187,6 +1202,24 @@ class TestCli:
         assert res.stderr.startswith("error: serie: split at ")
         assert "'after' subsample with only 1 window" in res.stderr
         assert "t bounds" not in res.stderr
+
+    @pytest.mark.parametrize("char", ["\n", "\r", "\t", "\0", "\x7f"])
+    def test_control_character_in_label_exits_one_before_any_work(self, tmp_path, synth_file,
+                                                                  char):
+        label = f"a{char}b"
+        res = self.invoke("run", f"{synth_file}:{label}", "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 1
+        assert res.stderr == f"error: bad label {label!r}: it holds a control character\n"
+        assert list(tmp_path.iterdir()) == [synth_file]
+
+    def test_control_character_in_file_stem_exits_one_before_any_work(self, tmp_path,
+                                                                      synth_file):
+        path = tmp_path / "a\nb.csv"
+        path.write_bytes(synth_file.read_bytes())
+        res = self.invoke("run", str(path), "--output-dir", str(tmp_path / "o"))
+        assert res.exit_code == 1
+        assert res.stderr == "error: bad label 'a\\nb': it holds a control character\n"
+        assert sorted(tmp_path.iterdir()) == sorted([synth_file, path])
 
     def test_duplicate_labels_exit_one_before_any_work(self, tmp_path, synth_file):
         twins = []

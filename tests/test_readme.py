@@ -36,32 +36,36 @@ def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch):
         "fixture_report.json", "fixture_rolling.csv", "fixture_stats.json"]
 
 
-# Each error line the README quotes, and a command that prints it, run in a
-# directory holding the files that `error_inputs` writes
+# Each error line the README quotes, the exit status the README gives it (1:
+# refused before any series is read, 2: a series failed while the rest ran),
+# and a command that prints it, run in a directory holding the files that
+# `error_inputs` writes
 ERRORS = {
-    "error: block size 4 too small for an order-3 fit": "hurst s.csv --detrend-order 3",
-    "error: cannot write ow/p.csv: no directory ow": "synth ow/p.csv --h 0.6 --n 100",
+    "error: block size 4 too small for an order-3 fit": (1, "hurst s.csv --detrend-order 3"),
+    "error: cannot write ow/p.csv: no directory ow": (1, "synth ow/p.csv --h 0.6 --n 100"),
     "error: cannot write big.csv: price 3 is 0.0 at sigma 100000.0; ...":
-        "synth big.csv --h 0.6 --n 5000 --sigma 1e5 --seed 1",
-    "error: sigma 1e+200 too large for n=50: ...": "synth big.csv --h 0.6 --n 50 --sigma 1e200",
+        (1, "synth big.csv --h 0.6 --n 5000 --sigma 1e5 --seed 1"),
+    "error: sigma 1e+200 too large for n=50: ...":
+        (1, "synth big.csv --h 0.6 --n 50 --sigma 1e200"),
     "error: cannot write big.csv: price 2921938 would be dated past 9999-12-31; ...":
-        "synth big.csv --h 0.6 --n 2921938",
-    "error: <label>: <cause>": "describe ratio.csv",
+        (1, "synth big.csv --h 0.6 --n 2921938"),
+    "error: <label>: <cause>": (2, "describe ratio.csv"),
     "error: <label>: prices 1e+300 then 1e-300 at <date>: their ratio underflows the float "
-    "range": "describe ratio.csv",
-    "error: <label>: <note>": "test s.csv",
+    "range": (2, "describe ratio.csv"),
+    "error: <label>: <note>": (2, "test s.csv"),
     "error: <label>: 0 rolling windows, fewer than the 4 needed: window 500 at step 7 needs at "
-    "least 521 returns, the series has 300": "rolling s300.csv",
+    "least 521 returns, the series has 300": (2, "rolling s300.csv"),
     "error: <label>: window 38 must be at least twice the largest ladder size (128)":
-        "hurst short.csv",
+        (2, "hurst short.csv"),
     "error: ladder 144,147,153 spans 153/144 = 1.06, less than the one octave a slope needs":
-        "hurst s.csv --ladder 144,147,153",
-    "error: bad setting window = 'abc': ...": "run s.csv --window abc",
+        (1, "hurst s.csv --ladder 144,147,153"),
+    "error: bad setting window = 'abc': ...": (1, "run s.csv --window abc"),
     "error: bad setting window = '5_00': a number takes ASCII characters only, and no '_'":
-        "run s.csv --window 5_00",
-    "error: No such option '--windw'. Did you mean '--window'?": "run s.csv --windw 500",
+        (1, "run s.csv --window 5_00"),
+    "error: No such option '--windw'. Did you mean '--window'?": (1, "run s.csv --windw 500"),
     "error: <file>:<line>: duplicate key 'window' (first on line <k>)":
-        "run s.csv --config dup.cfg",
+        (1, "run s.csv --config dup.cfg"),
+    "error: bad label '<repr>': it holds a control character": (1, "run 's.csv:a\tb'"),
 }
 
 
@@ -88,11 +92,11 @@ def test_every_quoted_error_line_has_a_command():
 def test_quoted_error_lines_are_printed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     error_inputs(tmp_path)
-    for line, command in ERRORS.items():
+    for line, (status, command) in ERRORS.items():
         # a placeholder <...> stands for any text, and "..." for the rest of the line
         pattern = "".join(".+?" if part.startswith("<") else ".*" if part == "..."
                           else re.escape(part) for part in re.split(r"(<[^>]*>|\.\.\.)", line))
         result = CliRunner().invoke(main, shlex.split(command))
-        assert result.exit_code in (1, 2), (command, result.output)
+        assert result.exit_code == status, (command, result.output)
         assert any(re.fullmatch(pattern, printed) for printed in result.stderr.splitlines()), \
             (line, result.stderr)
