@@ -8,6 +8,7 @@ log(statistic) on log(block size).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -38,7 +39,16 @@ METHOD_RS = "rs"
 # A window's floor, as a fraction of its largest magnitude: a DFA fluctuation or R/S
 # block range at or under it is rounding (stale zero returns, fixed-rate accrual).
 FLAT_SPREAD = 1e-9
-CHUNK = 1 << 14  # a chunk's index entries; its block values: 4x (DFA) or 2x (R/S) this
+CHUNK = 1 << 14  # a chunk's index entries; its block values: 4x this
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, read by ``operator.index``: a numpy int passes,
+    and a float or a string is refused, naming the setting."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,7 @@ class BlockLadder:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_integer("ladder size", s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) < 3:
             raise ValueError("ladder needs at least 3 sizes")
@@ -89,6 +99,8 @@ class RollingProtocol:
     detrend_order: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("window", "step", "detrend_order"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         sizes = DEFAULT_LADDER_SIZES if self.ladder is None else tuple(self.ladder)
         object.__setattr__(self, "ladder", BlockLadder(sizes))
         if self.estimator not in (METHOD_DFA, METHOD_RS):
@@ -208,11 +220,10 @@ def _ladder_stats(values: np.ndarray, protocol: RollingProtocol) -> np.ndarray:
     count = len(windows)
     floor = FLAT_SPREAD * np.maximum(-windows.min(axis=-1), windows.max(axis=-1))
     stats = np.empty((count, len(ladder)))
-    cap = 4 * CHUNK if order else 2 * CHUNK  # R/S keeps the cap its fill was tuned at
     for column, m in enumerate(ladder):
         blocks = window // m
         # caps: block values in the layout that holds fewer, the windows x blocks index
-        per_size = max(1, min(cap // (m * min(blocks, step)), CHUNK // blocks))
+        per_size = max(1, min(4 * CHUNK // (m * min(blocks, step)), CHUNK // blocks))
         for first in range(0, count, per_size):
             last = min(count, first + per_size)
             stats[first:last, column] = _shared_blocks(
@@ -252,8 +263,8 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
     standard deviation s stays positive. Means and s run along blocks; the
     buffer holds the cumulative deviations down its columns, whose max - min is
     R. As range >= max|x - mean| >= s, only blocks with 0 < s <=
-    2 * floor.max() need their exact range (``_ranges``; 2 covers the rounding of
-    the mean and s, ~1e-14 of the values); the rest get +inf, or -inf at s == 0,
+    2 * floor.max() need their exact range (2 covers the rounding of the mean
+    and s, ~1e-14 of the values); the rest get +inf, or -inf at s == 0,
     so one gather decides which blocks count. A window with nothing that counts
     gives 0."""
     blocks, index = _block_layout(x, starts, window, tau)
@@ -269,7 +280,7 @@ def _shared_blocks(x: np.ndarray, starts: np.ndarray, window: int, tau: int,
     varies = s > 0
     spread = np.where(varies, np.inf, -np.inf)  # -inf: never above a floor
     near = varies & (s <= 2 * floor.max())
-    spread[near] = _ranges(blocks[near])  # a mask writes in place in any memory order
+    spread[near] = np.ptp(blocks[near], axis=-1)  # a mask writes in place in any memory order
     rs = np.divide(cum.max(axis=0) - cum.min(axis=0), s, out=np.zeros_like(s), where=varies)
     keep = spread.take(index) > floor[:, None]
     rs = np.where(keep, rs.take(index), 0.0)
@@ -302,14 +313,6 @@ def _cumsum_last(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         np.add(out[..., j - 1], a[..., j], out=out[..., j])
     return out
-
-
-def _ranges(rows: np.ndarray) -> np.ndarray:
-    """``np.ptp(rows, axis=-1)`` of a stack, taken down the columns of a copy with
-    the last axis first: numpy reduces a short row at a time but all columns at
-    once. Max and min are exact in any order, so the bits are the same."""
-    cols = np.moveaxis(rows, -1, 0).copy()
-    return cols.max(axis=0) - cols.min(axis=0)
 
 
 def hurst_rs(x: Sequence[float], ladder: Iterable[int] | None = None) -> HurstEstimate:

@@ -105,6 +105,8 @@ class RunConfig(RollingProtocol):
             raise ValueError("confidence_level must lie in (0.5, 1)")
         if self.split_by not in ("start", "end"):
             raise ValueError("split_by must be 'start' or 'end'")
+        if type(self.split_date) is not Date:  # a datetime would write its time of day
+            raise ValueError(f"split_date must be a datetime.date, got {self.split_date!r}")
         super().__post_init__()
 
 

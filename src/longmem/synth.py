@@ -46,6 +46,8 @@ class FgnSpec:
             raise ValueError(f"hurst exponent must lie strictly in (0, 1), got {self.h}")
         if self.n < 2:
             raise ValueError("need n >= 2")
+        if self.seed < 0:  # numpy's refusal names neither the setting nor the value
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.sigma < math.inf:  # a nan or inf scale writes nan prices
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         # the embedding's eigenvalues are sums of 2n covariances of at most sigma**2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestBlockLadder:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             BlockLadder((4, 8, 8))
+
+    @pytest.mark.parametrize("sizes, bad", [
+        ((4.5, 8, 16), "4.5"), ((4, 8.0, 16), "8.0"), ((np.float64(4), 8, 16), "np.float64(4.0)"),
+        (("4", 8, 16), "'4'"),
+    ])
+    def test_rejects_sizes_that_are_not_integers(self, sizes, bad):
+        with pytest.raises(ValueError, match=f"^ladder size must be an integer, got {re.escape(bad)}$"):
+            BlockLadder(sizes)
 
     def test_max_size_relative_to_series(self):
         # the whole series is one window, which holds twice the largest size
@@ -237,6 +246,10 @@ class TestDfaFluctuation:
     def test_block_too_small_for_order(self):
         with pytest.raises(ValueError, match="too small"):
             dfa_fluctuation(np.arange(32.0), 4, order=3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^detrend order must be >= 0$"):
+            dfa_fluctuation(np.arange(32.0), 4, order=-1)
 
     def test_block_exceeding_profile(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -7,11 +7,10 @@ index, and R/S averaged the values of the non-degenerate blocks only.
 ``reference_mean_rs`` is the R/S statistic the shared-block kernel replaced:
 each window's blocks cut from its own row of a stack of windows. The kernel
 must give the same bits as it, so those tests compare with ``==``. The
-kernel takes a block's exact range of values with ``_ranges`` only for blocks
-near the floor (standard deviation at most twice the chunk's largest floor),
-down the columns of a transposed copy, which must give ``np.ptp``'s bits along
-rows; ``margin_returns`` puts block deviations on both sides of the floor and
-of twice the floor. It drops a block whose standard deviation is 0 by giving
+kernel takes a block's exact range of values only for blocks near the floor
+(standard deviation at most twice the chunk's largest floor);
+``margin_returns`` puts block deviations on both sides of the floor and of
+twice the floor. It drops a block whose standard deviation is 0 by giving
 it range -inf, which a series scaled until block squares underflow (s == 0
 with a range above the floor) checks.
 ``reference_rolling_dfa`` is the stacked-row DFA it replaced: one profile per
@@ -457,32 +456,6 @@ def test_shared_blocks_equal_reference_where_block_squares_underflow(paper_serie
     assert same_as_reference(values, protocol) is succeeds
 
 
-def same_bits_as_ptp(rows):
-    ranges = estimators._ranges(rows)
-    assert ranges.tobytes() == np.ptp(rows, axis=-1).tobytes()
-    return ranges
-
-
-def test_ranges_equal_ptp_along_rows():
-    rng = np.random.default_rng(1951)
-    for _ in range(60):
-        shape = (int(rng.integers(1, 3001)), int(rng.integers(1, 251)))
-        same_bits_as_ptp(rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300))
-        same_bits_as_ptp(np.repeat(rng.standard_normal((shape[0], 1)), shape[1], axis=1))
-        # only signed zeros, and zeros among values of both signs: never -0.0
-        zeros = rng.choice([0.0, -0.0], size=shape)
-        assert not np.signbit(same_bits_as_ptp(zeros)).any()
-        mixed = np.where(rng.random(shape) < 0.5, zeros, rng.standard_normal(shape))
-        assert not np.signbit(same_bits_as_ptp(mixed)).any()
-    values = rng.standard_normal((400, 300))
-    same_bits_as_ptp(values[::3, 7:250:2])
-    values.flags.writeable = False
-    same_bits_as_ptp(values)
-    same_bits_as_ptp(sliding_window_view(values[0], 16)[::5])
-    # a windows x blocks x size stack, as the window-major layout reads it
-    same_bits_as_ptp(sliding_window_view(values[0], 64)[::7, :60].reshape(-1, 4, 15))
-
-
 def margin_returns(rng, kind, n):
     """``n`` returns whose block standard deviations straddle the floor and twice
     the floor: a base that varies only by rounding (fixed-rate accrual, 1.5 plus
@@ -892,9 +865,9 @@ def previous_shared_blocks(x, starts, window, tau, floor, order=None):
     dev = blocks - blocks.mean(axis=-1, keepdims=True)
     s = np.sqrt(np.mean(dev**2, axis=-1))
     varies = s > 0
-    spread = np.where(varies, estimators._ranges(blocks), -np.inf)
+    spread = np.where(varies, np.ptp(blocks, axis=-1), -np.inf)
     cum = np.cumsum(dev, axis=-1, out=dev)
-    rs = np.divide(estimators._ranges(cum), s, out=np.zeros_like(s), where=varies)
+    rs = np.divide(np.ptp(cum, axis=-1), s, out=np.zeros_like(s), where=varies)
     keep = spread.take(index) > floor[:, None]
     rs = np.where(keep, rs.take(index), 0.0)
     return rs.sum(axis=-1) / np.maximum(np.count_nonzero(keep, axis=-1), 1)

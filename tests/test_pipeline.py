@@ -10,7 +10,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from importlib import resources
 from pathlib import Path
 
@@ -363,6 +363,26 @@ class TestRunPipeline:
         )
         return cfg, run_pipeline(cfg, log=io.StringIO())
 
+    @pytest.mark.parametrize("setting, value, error", [
+        ("step", np.int64(7), None),
+        ("window", np.int32(500), None),
+        ("step", 7.0, "step must be an integer"),
+        ("split_date", np.datetime64("2001-12-01"), "split_date must be a datetime.date"),
+        ("split_date", "2001-12-01", "split_date must be a datetime.date"),
+        ("split_date", datetime(2001, 12, 1), "split_date must be a datetime.date"),
+    ])
+    def test_settings_of_another_type_fail_at_construction(self, tmp_path, synth_file,
+                                                           setting, value, error):
+        # at construction, not after every window has been computed
+        if error is None:
+            cfg, status = self.run_on(tmp_path, [synth_file], **{setting: value})
+            stats = json.loads((cfg.output_dir / "serie_stats.json").read_text())
+            assert status == 0 and stats["protocol"][setting] == value
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{error}, got {value!r}')}$"):
+            self.run_on(tmp_path, [synth_file], **{setting: value})
+        assert not (tmp_path / "out").exists()
+
     def test_emits_three_files_per_series(self, tmp_path, synth_file):
         cfg, status = self.run_on(tmp_path, [synth_file])
         assert status == 0
@@ -554,10 +574,14 @@ class TestCli:
     def invoke(self, *args):
         return CliRunner().invoke(main, list(args))
 
-    def test_run_without_inputs_exits_one_with_usage(self):
-        res = self.invoke("run")
+    @pytest.mark.parametrize("command", ["describe", "hurst", "rolling", "test", "run"])
+    def test_run_without_inputs_exits_one_with_usage(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        res = self.invoke(command)
         assert res.exit_code == 1
-        assert "Usage" in res.output or "usage" in res.output
+        assert res.stderr.startswith(f"Usage: main {command} [OPTIONS] [INPUTS]...")
+        assert res.stderr.endswith("\nerror: no input files given\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_run_and_flags(self, tmp_path, synth_file):
         out = tmp_path / "cli_out"
@@ -1260,6 +1284,7 @@ class TestCli:
          "sigma 1e+200 too large for n=50: the covariance sum 2 n sigma**2 leaves the float range"),
         (("--h", "0.6", "--n", "50", "--sigma", "1.3e154"),
          "sigma 1.3e+154 too large for n=50: the covariance sum 2 n sigma**2 leaves the float range"),
+        (("--h", "0.5", "--n", "100", "--seed", "-1"), "seed must be >= 0, got -1"),
     ])
     def test_synth_bad_parameter_exits_one(self, tmp_path, flags, cause):
         out = tmp_path / "gen.csv"

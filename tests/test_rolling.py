@@ -10,6 +10,7 @@ from longmem import estimators
 from longmem.estimators import BlockLadder, hurst_dfa, hurst_rs
 from longmem.rolling import (
     RollingProtocol,
+    RollingResult,
     rolling_hurst,
     split_at,
     window_offsets,
@@ -56,6 +57,23 @@ class TestProtocol:
                 "ladder 5,7,9 spans 9/5 = 1.80, less than the one octave a slope needs")):
             RollingProtocol(window=40, step=1, ladder=BlockLadder((5, 7, 9)))
         RollingProtocol(window=40, step=1, ladder=BlockLadder((5, 7, 10)))
+
+    @pytest.mark.parametrize("setting, value, error", [
+        ("window", np.int64(500), None),
+        ("step", np.int32(7), None),
+        ("detrend_order", np.uint8(2), None),
+        ("window", 500.0, "window must be an integer, got 500.0"),
+        ("step", 7.0, "step must be an integer, got 7.0"),
+        ("detrend_order", 1.5, "detrend_order must be an integer, got 1.5"),
+        ("window", "500", "window must be an integer, got '500'"),
+    ])
+    def test_integer_settings_are_held_as_python_ints(self, setting, value, error):
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                RollingProtocol(**{setting: value})
+            return
+        held = getattr(RollingProtocol(**{setting: value}), setting)
+        assert type(held) is int and held == value
 
     def test_defaults_are_reference_protocol(self):
         proto = RollingProtocol()
@@ -246,6 +264,12 @@ class TestSplitAt:
         before, after = split_at(result, split, by=by)
         assert np.array_equal(before, [h for k, h in zip(keys, result.h) if k < split])
         assert np.array_equal(after, [h for k, h in zip(keys, result.h) if k >= split])
+
+    def test_empty_result_is_refused(self):
+        empty = np.array([], dtype="datetime64[D]")
+        result = RollingResult("x", small_protocol(), empty, empty, np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="^cannot split an empty rolling result$"):
+            split_at(result, date(2000, 1, 1))
 
     def test_bad_classifier(self, result):
         with pytest.raises(ValueError, match="'start' or 'end'"):

@@ -224,6 +224,10 @@ class TestReturnSeries:
         with pytest.raises(ValueError, match="^non-finite return at 2020-01-02$"):
             ReturnSeries("x", d, (1.0, math.nan, 2.0, -math.inf))
 
+    def test_rejects_an_empty_series_naming_it(self):
+        with pytest.raises(ValueError, match="^return series 'x' is empty$"):
+            ReturnSeries("x", (), ())
+
     def test_values_are_read_only_float64(self):
         d = (date(2020, 1, 1), date(2020, 1, 2))
         series = ReturnSeries("x", d, [1, -2])

@@ -245,6 +245,10 @@ class TestStudentTQuantile:
             with pytest.raises(ValueError):
                 student_t_quantile(bad, 10)
 
+    def test_degrees_of_freedom_domain(self):
+        with pytest.raises(ValueError, match="^degrees of freedom must be >= 1$"):
+            student_t_quantile(0.9, 0)
+
 
 class TestFSf:
     def test_against_mpmath_oracle(self):
@@ -254,6 +258,7 @@ class TestFSf:
 
     def test_levene_probability_regions(self):
         assert f_sf(0.0, 1, 100) == 1.0
+        assert f_sf(-1.0, 1, 10) == 1.0  # below the support: the whole tail
         assert f_sf(1e6, 1, 100) < 1e-10
 
 
@@ -288,6 +293,10 @@ class TestTBounds:
             for n in range(2, 200)
         ]
         assert all(b < a for a, b in zip(widths, widths[1:]))
+
+    def test_negative_sd_rejected(self):
+        with pytest.raises(ValueError, match="^sd must be non-negative$"):
+            t_bounds(0.5, -0.1, 10)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 2"):
