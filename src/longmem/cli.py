@@ -14,6 +14,7 @@ from .pipeline import (
     _SETTINGS,
     RunConfig,
     _number,
+    _read_settings,
     analyse_series,
     config_from_mapping,
     emit_synth,
@@ -55,21 +56,6 @@ def _require_inputs(ctx: click.Context, inputs) -> None:
         click.echo(ctx.get_help(), err=True)
         click.echo("\nerror: no input files given", err=True)
         ctx.exit(1)
-
-
-class _Number(click.ParamType):
-    """A ``synth`` number read as ``run`` reads its settings (``_number``): with
-    '_' or a character outside ASCII it is a bad setting; click's own int or
-    float type reads the rest, and names the option when it cannot."""
-
-    def __init__(self, kind: click.ParamType) -> None:
-        self.kind, self.name = kind, kind.name
-
-    def convert(self, value, param, ctx):
-        try:
-            return _number(value, lambda text: self.kind.convert(text, param, ctx))
-        except ValueError as exc:
-            raise ValueError(f"bad setting {param.name} = {value!r}: {exc}") from exc
 
 
 class _Main(click.Group):
@@ -177,18 +163,18 @@ def test_cmd(ctx, inputs, **flags):
 
 @main.command("synth")
 @click.argument("output", type=click.Path(path_type=Path))
-@click.option("--h", "h", type=_Number(click.FLOAT), required=True,
-              help="Target Hurst exponent in (0,1).")
-@click.option("--n", type=_Number(click.INT), required=True,
+@click.option("--h", metavar="FLOAT", required=True, help="Target Hurst exponent in (0,1).")
+@click.option("--n", metavar="INTEGER", required=True,
               help="Number of noise points (file gets n+1 prices).")
-@click.option("--sigma", type=_Number(click.FLOAT), default="1.0", show_default=True,
-              help="Noise scale.")
-@click.option("--seed", type=_Number(click.INT), default="0", show_default=True,
+@click.option("--sigma", metavar="FLOAT", default="1.0", show_default=True, help="Noise scale.")
+@click.option("--seed", metavar="INTEGER", default="0", show_default=True,
               help="Generator seed.")
-def synth_cmd(output, h, n, sigma, seed) -> None:
+def synth_cmd(output, **numbers) -> None:
     """Write a synthetic fGn-derived price CSV for pipeline validation."""
-    path = emit_synth(FgnSpec(h=h, n=n, sigma=sigma, seed=seed), output)
-    click.echo(f"wrote {path}")
+    # read as run reads its settings, in the order click took the options
+    real = lambda text: _number(text, float)
+    spec = _read_settings(numbers, {"h": real, "n": _number, "sigma": real, "seed": _number})
+    click.echo(f"wrote {emit_synth(FgnSpec(**spec), output)}")
 
 
 @main.command("run")

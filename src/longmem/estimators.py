@@ -51,6 +51,13 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a Python float: a Python or numpy int or float passes, nothing else."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BlockLadder:
     """Strictly increasing block sizes at which scaling statistics are evaluated.
@@ -348,6 +355,7 @@ def dfa_fluctuation(x_profile: Sequence[float], m: int, order: int = 1) -> float
     covered points. ``x_profile`` is left as given.
     """
     prof = np.asarray(x_profile, dtype=float)
+    m, order = _integer("block size", m), _integer("detrend order", order)
     if order < 0:
         raise ValueError("detrend order must be >= 0")
     if m < order + 2:

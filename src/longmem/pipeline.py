@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimators import _real
 from .rolling import (
     WINDOW_COUNT_RULE,
     RollingProtocol,
@@ -101,6 +102,8 @@ class RunConfig(RollingProtocol):
             raise ValueError(f"unknown formats: {sorted(self.formats - {'json', 'csv'})}")
         if not self.formats:
             raise ValueError("at least one output format is required")
+        object.__setattr__(self, "confidence_level",
+                           _real("confidence_level", self.confidence_level))
         if not 0.5 < self.confidence_level < 1.0:
             raise ValueError("confidence_level must lie in (0.5, 1)")
         if self.split_by not in ("start", "end"):
@@ -187,18 +190,23 @@ _SETTINGS = {
 }
 
 
+def _read_settings(mapping: dict[str, str], readers: dict) -> dict:
+    """Each string setting read, _PAD stripped, by its reader in ``readers``."""
+    values: dict = {}
+    for key, value in mapping.items():
+        try:
+            values[key] = readers[key](value.strip(_PAD))
+        except ValueError as exc:
+            raise ValueError(f"bad setting {key} = {value!r}: {exc}") from exc
+    return values
+
+
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
-    """A RunConfig from flat string settings (config file fields or flags), _PAD stripped."""
+    """A RunConfig from flat string settings (config file fields or flags)."""
     unknown = set(mapping) - _SETTINGS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {}
-    for key, value in mapping.items():
-        try:
-            kwargs[key] = _SETTINGS[key][0](value.strip(_PAD))
-        except ValueError as exc:
-            raise ValueError(f"bad setting {key} = {value!r}: {exc}") from exc
-    return RunConfig(**kwargs)
+    return RunConfig(**_read_settings(mapping, {key: s[0] for key, s in _SETTINGS.items()}))
 
 
 # ASCII whitespace, the only padding a line, cell or setting may carry (a bare

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .estimators import _integer, _real
+
 __all__ = [
     "GENERATOR_ID",
     "FgnSpec",
@@ -42,6 +44,8 @@ class FgnSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, read in (("h", _real), ("n", _integer), ("sigma", _real), ("seed", _integer)):
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if not 0.0 < self.h < 1.0:
             raise ValueError(f"hurst exponent must lie strictly in (0, 1), got {self.h}")
         if self.n < 2:
@@ -97,6 +101,7 @@ def generate_fgn(spec: FgnSpec) -> np.ndarray:
 
 def generate_gaussian(n: int, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     """I.i.d. normal draws, deterministic given the seed."""
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 1:
         raise ValueError("need n >= 1")
     if sigma <= 0:

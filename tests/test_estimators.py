@@ -251,6 +251,14 @@ class TestDfaFluctuation:
         with pytest.raises(ValueError, match="^detrend order must be >= 0$"):
             dfa_fluctuation(np.arange(32.0), 4, order=-1)
 
+    @pytest.mark.parametrize("m, order, error", [
+        (8.0, 1, "block size must be an integer, got 8.0"),
+        (8, 1.5, "detrend order must be an integer, got 1.5"),
+    ])
+    def test_block_size_and_order_must_be_integers(self, m, order, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            dfa_fluctuation(np.arange(32.0), m, order)
+
     def test_block_exceeding_profile(self):
         with pytest.raises(ValueError, match="exceeds"):
             dfa_fluctuation(np.arange(8.0), 16, order=1)

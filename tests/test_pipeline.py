@@ -370,6 +370,8 @@ class TestRunPipeline:
         ("split_date", np.datetime64("2001-12-01"), "split_date must be a datetime.date"),
         ("split_date", "2001-12-01", "split_date must be a datetime.date"),
         ("split_date", datetime(2001, 12, 1), "split_date must be a datetime.date"),
+        ("confidence_level", np.float32(0.99), None),
+        ("confidence_level", "0.99", "confidence_level must be a real number"),
     ])
     def test_settings_of_another_type_fail_at_construction(self, tmp_path, synth_file,
                                                            setting, value, error):
@@ -377,7 +379,9 @@ class TestRunPipeline:
         if error is None:
             cfg, status = self.run_on(tmp_path, [synth_file], **{setting: value})
             stats = json.loads((cfg.output_dir / "serie_stats.json").read_text())
-            assert status == 0 and stats["protocol"][setting] == value
+            report = json.loads((cfg.output_dir / "serie_report.json").read_text())
+            written = stats["protocol"].get(setting, report["tests"].get(setting))
+            assert status == 0 and written == value
             return
         with pytest.raises(ValueError, match=f"^{re.escape(f'{error}, got {value!r}')}$"):
             self.run_on(tmp_path, [synth_file], **{setting: value})
@@ -1124,7 +1128,6 @@ class TestCli:
     @pytest.mark.parametrize("args, named", [
         (["run", "x.csv", "--windw", "500"], "'--windw'"),
         (["run", "--config", "missing.cfg", "x.csv"], "'--config'"),
-        (["synth", "--h", "abc", "out.csv"], "'--h'"),
         (["synth", "--h", "0.6", "out.csv"], "'--n'"),
         (["bogus"], "'bogus'")])
     def test_a_bad_command_line_exits_one_with_one_line(self, tmp_path, monkeypatch,
@@ -1285,6 +1288,13 @@ class TestCli:
         (("--h", "0.6", "--n", "50", "--sigma", "1.3e154"),
          "sigma 1.3e+154 too large for n=50: the covariance sum 2 n sigma**2 leaves the float range"),
         (("--h", "0.5", "--n", "100", "--seed", "-1"), "seed must be >= 0, got -1"),
+        # a malformed number fails as a malformed run setting does
+        (("--h", "abc", "--n", "100"),
+         "bad setting h = 'abc': could not convert string to float: 'abc'"),
+        (("--h", "0.5", "--n", "1.5"),
+         "bad setting n = '1.5': invalid literal for int() with base 10: '1.5'"),
+        (("--h", "0.5", "--n", "100", "--seed", "1e2"),
+         "bad setting seed = '1e2': invalid literal for int() with base 10: '1e2'"),
     ])
     def test_synth_bad_parameter_exits_one(self, tmp_path, flags, cause):
         out = tmp_path / "gen.csv"
@@ -1293,6 +1303,16 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert res.stderr == f"error: {cause}\n"
         assert not out.exists()
+
+    def test_synth_help_shows_each_number_with_its_type_and_default(self):
+        res = self.invoke("synth", "--help")
+        assert res.exit_code == 0
+        assert [line for line in res.stdout.splitlines() if line.startswith("  --")][:4] == [
+            "  --h FLOAT       Target Hurst exponent in (0,1).  [required]",
+            "  --n INTEGER     Number of noise points (file gets n+1 prices).  [required]",
+            "  --sigma FLOAT   Noise scale.  [default: 1.0]",
+            "  --seed INTEGER  Generator seed.  [default: 0]",
+        ]
 
     def test_synth_past_the_calendar_exits_one_before_generating(self, tmp_path, monkeypatch):
         # prices are dated daily from 2000-01-03; 2,921,937 days later is 9999-12-31

@@ -63,6 +63,8 @@ ERRORS = {
     "error: bad setting window = '5_00': a number takes ASCII characters only, and no '_'":
         (1, "run s.csv --window 5_00"),
     "error: No such option '--windw'. Did you mean '--window'?": (1, "run s.csv --windw 500"),
+    "error: bad setting n = '1.5': invalid literal for int() with base 10: '1.5'":
+        (1, "synth o.csv --h 0.5 --n 1.5"),
     "error: <file>:<line>: duplicate key 'window' (first on line <k>)":
         (1, "run s.csv --config dup.cfg"),
     "error: bad label '<repr>': it holds a control character": (1, "run 's.csv:a\tb'"),

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from longmem import synth
 from longmem.estimators import BlockLadder, hurst_dfa
+from longmem.pipeline import emit_synth
 from longmem.stattests import mann_whitney
 from longmem.synth import (
     FgnSpec,
@@ -77,6 +79,26 @@ class TestFgnSpec:
         assert np.all(np.isfinite(generate_fgn(FgnSpec(h=0.9, n=n, sigma=limit))))
         with pytest.raises(ValueError, match=f"^sigma .* too large for n={n}: "):
             FgnSpec(h=0.9, n=n, sigma=math.nextafter(limit, math.inf))
+
+    # held as Python numbers: a numpy scalar writes its value into the header,
+    # and a value of another type is refused, naming the setting
+    @pytest.mark.parametrize("setting, value, header, error", [
+        ("h", np.float64(0.7), "# h=0.7 n=100 sigma=1.0 seed=0", None),
+        ("sigma", np.float32(1.0), "# h=0.6 n=100 sigma=1.0 seed=0", None),
+        ("h", "0.5", None, "h must be a real number, got '0.5'"),
+        ("sigma", None, None, "sigma must be a real number, got None"),
+        ("n", 100.0, None, "n must be an integer, got 100.0"),
+        ("seed", 1.5, None, "seed must be an integer, got 1.5"),
+    ])
+    def test_settings_are_held_as_python_numbers(self, tmp_path, setting, value, header,
+                                                 error):
+        settings = {"h": 0.6, "n": 100, setting: value}
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                FgnSpec(**settings)
+            return
+        path = emit_synth(FgnSpec(**settings), tmp_path / "s.csv")
+        assert path.read_text().splitlines()[1] == header
 
 
 class TestGenerateFgn:
@@ -181,6 +203,10 @@ class TestGenerateGaussian:
             generate_gaussian(0)
         with pytest.raises(ValueError):
             generate_gaussian(10, sigma=-1.0)
+        with pytest.raises(ValueError, match="^n must be an integer, got 5.0$"):
+            generate_gaussian(5.0)
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+            generate_gaussian(10, seed=1.5)
 
 
 class TestPowerlawFixture:
